@@ -312,6 +312,12 @@ def _cross_validate(cfg: RunConfig):
         )
     if cfg.strategy.kind == "scaffold" and cfg.optimizer.kind != "sgd":
         raise ConfigError("strategy scaffold requires optimizer.kind = sgd")
+    layers = len(cfg.hidden_sizes) + 1
+    if not -layers <= cfg.strategy.head_layer < layers:
+        raise ConfigError(
+            f"strategy.head_layer must lie in [{-layers}, {layers - 1}] for a model "
+            f"with {layers} layers, got {cfg.strategy.head_layer}"
+        )
 
 
 def parse_bool_flag(text: str) -> bool:

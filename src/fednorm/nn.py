@@ -13,7 +13,7 @@ linear output head) is exposed as the "latent" representation of a batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,11 +30,16 @@ class ModelSpec:
     """Architecture of the perceptron: input dim, hidden widths, class count.
 
     ``layer_sizes`` must have at least three entries; the second-to-last entry
-    is the latent dimension.
+    is the latent dimension.  The flat-vector layout (layer shapes, slices and
+    the parameter count) is derived once at construction, since the training
+    loop asks for it on every step.
     """
 
     layer_sizes: tuple[int, ...]
     activation: str = "relu"
+    _shapes: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _slices: tuple[tuple[slice, slice], ...] = field(init=False, repr=False, compare=False)
+    _count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -50,6 +55,17 @@ class ModelSpec:
             raise ValueError(
                 f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}"
             )
+        shapes = tuple(zip(sizes[:-1], sizes[1:]))
+        slices = []
+        offset = 0
+        for fan_in, fan_out in shapes:
+            w = slice(offset, offset + fan_in * fan_out)
+            b = slice(w.stop, w.stop + fan_out)
+            slices.append((w, b))
+            offset = b.stop
+        object.__setattr__(self, "_shapes", shapes)
+        object.__setattr__(self, "_slices", tuple(slices))
+        object.__setattr__(self, "_count", offset)
 
     @property
     def input_dim(self) -> int:
@@ -67,30 +83,26 @@ class ModelSpec:
     def num_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
-    def layer_shapes(self) -> list[tuple[int, int]]:
-        return [
-            (self.layer_sizes[l], self.layer_sizes[l + 1])
-            for l in range(self.num_layers)
-        ]
+    def layer_shapes(self) -> tuple[tuple[int, int], ...]:
+        """(fan_in, fan_out) of each layer's weight matrix."""
+        return self._shapes
 
-    def layer_slices(self) -> list[tuple[slice, slice]]:
+    def layer_slices(self) -> tuple[tuple[slice, slice], ...]:
         """Weight and bias slice into the flat vector, per layer."""
-        out = []
-        offset = 0
-        for fan_in, fan_out in self.layer_shapes():
-            w = slice(offset, offset + fan_in * fan_out)
-            b = slice(w.stop, w.stop + fan_out)
-            out.append((w, b))
-            offset = b.stop
-        return out
+        return self._slices
 
     def layer_span(self, layer: int) -> slice:
-        """Contiguous slice covering both W and b of one layer."""
-        w, b = self.layer_slices()[layer]
+        """Contiguous slice covering both W and b of one layer; negative
+        ``layer`` counts from the back."""
+        if not -self.num_layers <= layer < self.num_layers:
+            raise ValueError(
+                f"layer {layer} is out of range for a {self.num_layers}-layer model"
+            )
+        w, b = self._slices[layer]
         return slice(w.start, b.stop)
 
     def param_count(self) -> int:
-        return sum(fi * fo + fo for fi, fo in self.layer_shapes())
+        return self._count
 
 
 def init_model(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -122,33 +134,30 @@ def _check_batch(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """Apply the activation to ``z`` in place and return it."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=z)
+    return np.tanh(z, out=z)
 
 
 def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    # derivative expressed through the activation output, not the pre-activation
+    # derivative expressed through the activation output, not the pre-activation;
+    # for relu a boolean mask, which multiplies exactly like its 0.0/1.0 floats
     if kind == "relu":
-        return (a > 0.0).astype(np.float64)
+        return a > 0.0
     return 1.0 - a * a
 
 
 def _forward_cached(spec, params, x):
     """Returns (logits, acts) where acts[l] is the input to layer l."""
     acts = [x]
-    a = x
-    slices = spec.layer_slices()
-    shapes = spec.layer_shapes()
-    for l in range(spec.num_layers):
-        w_sl, b_sl = slices[l]
-        w = params[w_sl].reshape(shapes[l])
-        z = a @ w + params[b_sl]
-        if l < spec.num_layers - 1:
-            a = _activate(z, spec.activation)
-            acts.append(a)
-        else:
+    last = spec.num_layers - 1
+    for l, ((w_sl, b_sl), shape) in enumerate(zip(spec.layer_slices(), spec.layer_shapes())):
+        z = acts[l] @ params[w_sl].reshape(shape)
+        z += params[b_sl]
+        if l == last:
             return z, acts
+        acts.append(_activate(z, spec.activation))
     raise AssertionError("unreachable")
 
 
@@ -164,13 +173,6 @@ def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     return logits, acts[-1]
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the true classes."""
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -179,12 +181,16 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(logz - picked))
 
 
-def loss_and_grad(spec, params, x, y, prox=None):
+def loss_and_grad(spec, params, x, y, prox=None, *, out=None):
     """Mean softmax cross-entropy and its exact gradient in layout order.
 
     ``prox`` is an optional ``(mu, anchor)`` pair adding the proximal penalty
     (mu/2)*||params - anchor||^2 to loss and gradient.  ``mu == 0`` leaves the
     computation untouched so the result is bit-identical to ``prox=None``.
+
+    ``out`` is an optional float64 buffer shaped like ``params`` that receives
+    the gradient, so a training loop can reuse one buffer for every step; the
+    returned gradient is then that buffer.
 
     Raises TrainingDiverged when the loss comes out non-finite.
     """
@@ -194,26 +200,37 @@ def loss_and_grad(spec, params, x, y, prox=None):
     n = x.shape[0]
     if y.shape != (n,):
         raise ValueError(f"labels have shape {y.shape}, expected ({n},)")
+    if out is None:
+        grad = np.empty_like(params)
+    elif out.shape != params.shape or out.dtype != np.float64:
+        raise ValueError(
+            f"gradient buffer is {out.dtype} {out.shape}, expected float64 {params.shape}"
+        )
+    else:
+        grad = out
 
     logits, acts = _forward_cached(spec, params, x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(logz - shifted[np.arange(n), y]))
+    rows = np.arange(n)
+    # one shift and one exp serve both the loss and the softmax delta
+    shifted = logits
+    shifted -= logits.max(axis=1, keepdims=True)
+    delta = np.exp(shifted)
+    total = delta.sum(axis=1, keepdims=True)
+    loss = float((np.log(total[:, 0]) - shifted[rows, y]).sum() / n)
 
-    delta = softmax(logits)
-    delta[np.arange(n), y] -= 1.0
+    delta /= total
+    delta[rows, y] -= 1.0
     delta /= n
 
-    grad = np.empty_like(params)
     slices = spec.layer_slices()
     shapes = spec.layer_shapes()
     for l in range(spec.num_layers - 1, -1, -1):
         w_sl, b_sl = slices[l]
-        grad[w_sl] = (acts[l].T @ delta).ravel()
-        grad[b_sl] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=grad[w_sl].reshape(shapes[l]))
+        delta.sum(axis=0, out=grad[b_sl])
         if l > 0:
-            w = params[w_sl].reshape(shapes[l])
-            delta = (delta @ w.T) * _activation_grad(acts[l], spec.activation)
+            delta = delta @ params[w_sl].reshape(shapes[l]).T
+            delta *= _activation_grad(acts[l], spec.activation)
 
     if prox is not None:
         mu, anchor = prox
@@ -222,7 +239,8 @@ def loss_and_grad(spec, params, x, y, prox=None):
         if mu > 0:
             diff = params - anchor
             loss += 0.5 * mu * float(diff @ diff)
-            grad += mu * diff
+            diff *= mu
+            grad += diff
 
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss}")
@@ -233,8 +251,9 @@ def loss_and_grad(spec, params, x, y, prox=None):
 class OptimizerState:
     """Hyperparameters plus per-run mutable buffers of one local optimizer.
 
-    Moment buffers are allocated lazily on the first step; ``fresh()`` hands
-    out a copy with cleared buffers for the next client round.
+    The moment buffers ``m``/``v`` and the ``scratch`` arrays of the update are
+    allocated on the first step and updated in place afterwards; ``fresh()``
+    hands out a copy with cleared buffers for the next client round.
     """
 
     kind: str = "adam"
@@ -245,6 +264,9 @@ class OptimizerState:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     step: int = 0
+    scratch: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in _OPTIMIZERS:
@@ -257,23 +279,45 @@ class OptimizerState:
 
 
 def optimizer_step(params, grad, state: OptimizerState):
-    """One optimizer update; returns (new_params, new_state), inputs untouched."""
+    """One optimizer update of ``params`` and ``state``, both in place.
+
+    Returns ``(params, state)``, the very objects passed in; ``grad`` is left
+    untouched.  Each update is evaluated in the textbook order, so the bits
+    equal those of ``params - lr*grad`` (sgd) and of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``params - lr*m_hat / (sqrt(v_hat) + eps)`` (adam).
+    """
     t = state.step + 1
+    if state.scratch is None:
+        count = 1 if state.kind == "sgd" else 2
+        state.scratch = tuple(np.empty_like(params) for _ in range(count))
+    update = state.scratch[0]
     if state.kind == "sgd":
-        new = params - state.lr * grad
-        new_state = replace(state, step=t)
+        np.multiply(grad, state.lr, out=update)
     else:
-        m = state.m if state.m is not None else np.zeros_like(params)
-        v = state.v if state.v is not None else np.zeros_like(params)
-        m = state.beta1 * m + (1.0 - state.beta1) * grad
-        v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_state = replace(state, m=m, v=v, step=t)
-    if not np.isfinite(new).all():
+        if state.m is None:
+            state.m = np.zeros_like(params)
+        if state.v is None:
+            state.v = np.zeros_like(params)
+        m, v, denom = state.m, state.v, state.scratch[1]
+        m *= state.beta1
+        np.multiply(grad, 1.0 - state.beta1, out=denom)
+        m += denom
+        v *= state.beta2
+        np.multiply(grad, 1.0 - state.beta2, out=denom)
+        denom *= grad
+        v += denom
+        np.divide(v, 1.0 - state.beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, 1.0 - state.beta1**t, out=update)
+        update *= state.lr
+        update /= denom
+    params -= update
+    state.step = t
+    if not np.isfinite(params).all():
         raise TrainingDiverged(f"non-finite parameters after step {t}")
-    return new, new_state
+    return params, state
 
 
 def mean_latent(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:

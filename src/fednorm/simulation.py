@@ -43,7 +43,6 @@ class ServerState:
 @dataclass
 class ClientRoundMetrics:
     client_id: int
-    n: int
     lam: float
     nu: float
     u: float
@@ -96,7 +95,9 @@ def local_train(
     if n == 0:
         raise ValueError(f"client {client.client_id} has an empty shard")
 
+    # the step updates this copy in place; one gradient buffer serves every step
     params = global_params.copy()
+    grad = np.empty_like(params)
     opt = optimizer.fresh()
     rng = np.random.default_rng([client.seed, round_index])
     steps = 0
@@ -105,9 +106,9 @@ def local_train(
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             try:
-                _, grad = nn.loss_and_grad(spec, params, x[batch], y[batch], prox=hooks.prox)
+                nn.loss_and_grad(spec, params, x[batch], y[batch], prox=hooks.prox, out=grad)
                 if hooks.grad_correction is not None:
-                    grad = grad + hooks.grad_correction
+                    grad += hooks.grad_correction
                 if hooks.freeze is not None:
                     grad[hooks.freeze] = 0.0
                 params, opt = nn.optimizer_step(params, grad, opt)
@@ -174,7 +175,6 @@ class Federation:
             server.strategy,
             server.params,
             server.spec,
-            optimizer_kind=self.optimizer.kind,
             control=control,
         )
         return local_train(
@@ -220,7 +220,6 @@ class Federation:
         metrics = [
             ClientRoundMetrics(
                 client_id=up.client_id,
-                n=up.n,
                 lam=float(lam[i]),
                 nu=float(nu[i]),
                 u=float(u[i]),

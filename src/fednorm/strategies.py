@@ -93,8 +93,7 @@ def init_strategy_state(
         state.c = np.zeros(size)
         state.client_c = {r: np.zeros(size) for r in range(num_clients)}
     elif cfg.kind == "fedbabu":
-        layer = cfg.head_layer % spec.num_layers
-        state.head = spec.layer_span(layer)
+        state.head = spec.layer_span(cfg.head_layer)
         state.frozen_head = params[state.head].copy()
     return state
 
@@ -103,29 +102,24 @@ def local_hooks(
     cfg: StrategyConfig,
     global_params: np.ndarray,
     spec: nn.ModelSpec,
-    optimizer_kind: str,
     control: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LocalHooks:
     """Build the local-training adjustments for one client.
 
     ``control`` is the (server, client) control-variate pair, required for
-    scaffold.  Scaffold also insists on plain sgd locally; its variate update
-    inverts the local step size, which is ill-defined under adaptive steps.
+    scaffold.  Scaffold also needs plain sgd locally, since its variate update
+    inverts the local step size; the config loader and ``Federation`` check
+    that once, before any round runs.
     """
     if cfg.kind == "fedprox":
         return LocalHooks(prox=(cfg.mu, global_params))
     if cfg.kind == "scaffold":
-        if optimizer_kind != "sgd":
-            raise ValueError(
-                f"scaffold requires the sgd local optimizer, got {optimizer_kind!r}"
-            )
         if control is None:
             raise ValueError("scaffold needs the (server, client) control variates")
         c, c_i = control
         return LocalHooks(grad_correction=c - c_i, scaffold_c=c)
     if cfg.kind == "fedbabu":
-        layer = cfg.head_layer % spec.num_layers
-        return LocalHooks(freeze=spec.layer_span(layer))
+        return LocalHooks(freeze=spec.layer_span(cfg.head_layer))
     return LocalHooks()
 
 

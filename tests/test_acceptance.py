@@ -279,7 +279,7 @@ class TestStrategyReductions:
                 spec, ds, client, params,
                 hooks=strategies.local_hooks(
                     strategies.StrategyConfig(kind="fedprox", mu=0.0),
-                    params, spec, "adam",
+                    params, spec,
                 ),
                 **kwargs,
             )
@@ -334,7 +334,7 @@ class TestStrategyReductions:
             corrected = simulation.local_train(
                 spec, ds, client, params,
                 hooks=strategies.local_hooks(
-                    strategies.StrategyConfig(kind="scaffold"), params, spec, "sgd",
+                    strategies.StrategyConfig(kind="scaffold"), params, spec,
                     control=(np.zeros(size), np.zeros(size)),
                 ),
                 **kwargs,

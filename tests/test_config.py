@@ -117,6 +117,17 @@ class TestRejections:
         data["optimizer"] = {"kind": "sgd", "lr": 0.05}
         assert cfg.from_dict(data).strategy.kind == "scaffold"
 
+    def test_head_layer_must_index_a_layer(self):
+        data = dict(minimal(), hidden_sizes=[16])  # two layers: indices -2..1
+        data["strategy"] = {"kind": "fedbabu"}
+        for bad in (7, 2, -3):
+            data["strategy"]["head_layer"] = bad
+            with pytest.raises(cfg.ConfigError, match=r"strategy\.head_layer .*got " + str(bad)):
+                cfg.from_dict(data)
+        for good in (-2, -1, 0, 1):
+            data["strategy"]["head_layer"] = good
+            assert cfg.from_dict(data).strategy.head_layer == good
+
 
 class TestBoolFlag:
     def test_accepted_spellings(self):

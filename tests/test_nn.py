@@ -64,6 +64,14 @@ class TestModelSpec:
         w, b = spec.layer_slices()[1]
         assert span.start == w.start and span.stop == b.stop
 
+    def test_layer_span_counts_from_the_back_and_rejects_out_of_range(self):
+        spec = nn.ModelSpec((4, 9, 3))
+        assert spec.layer_span(-1) == spec.layer_span(1)
+        assert spec.layer_span(-2) == spec.layer_span(0)
+        for bad in (2, 7, -3):
+            with pytest.raises(ValueError, match=f"layer {bad} is out of range"):
+                spec.layer_span(bad)
+
     def test_rejects_too_few_layers(self):
         with pytest.raises(ValueError, match="at least one hidden"):
             nn.ModelSpec((4, 2))
@@ -143,9 +151,18 @@ class TestLossAndGrad:
         assert_allclose(loss, np.log(5.0), rtol=0, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
+        # the output-bias gradient is the batch mean of softmax(logits) - onehot,
+        # so its entries sum to zero exactly when every softmax row sums to one;
+        # logits in the hundreds also exercise the max shift
+        spec = nn.ModelSpec((5, 8, 7))
         rng = np.random.default_rng(2)
-        probs = nn.softmax(rng.normal(scale=30.0, size=(40, 7)))
-        assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        params = 10.0 * nn.init_model(spec, 2)
+        x = rng.normal(scale=30.0, size=(40, 5))
+        y = np.arange(40) % 7
+        loss, grad = nn.loss_and_grad(spec, params, x, y)
+        assert np.isfinite(loss)
+        _, bias = spec.layer_slices()[-1]
+        assert_allclose(grad[bias].sum(), 0.0, rtol=0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         spec = small_spec()
@@ -205,6 +222,28 @@ class TestLossAndGrad:
             rtol=1e-12,
         )
 
+    def test_out_buffer_receives_the_gradient(self):
+        spec = nn.ModelSpec((3, 5, 4, 2), activation="tanh")
+        rng = np.random.default_rng(8)
+        params = rng.normal(size=spec.param_count())
+        x = rng.normal(size=(6, 3))
+        y = rng.integers(0, 2, size=6)
+        prox = (0.3, rng.normal(size=spec.param_count()))
+        loss, grad = nn.loss_and_grad(spec, params, x, y, prox=prox)
+        buffer = np.full(spec.param_count(), np.nan)
+        out_loss, out_grad = nn.loss_and_grad(spec, params, x, y, prox=prox, out=buffer)
+        assert out_grad is buffer
+        assert out_loss == loss
+        assert_array_equal(buffer, grad)
+
+    def test_rejects_misshapen_out_buffer(self):
+        spec = small_spec()
+        with pytest.raises(ValueError, match="gradient buffer"):
+            nn.loss_and_grad(
+                spec, np.zeros(spec.param_count()), np.ones((2, 3)), [0, 1],
+                out=np.empty(spec.param_count() + 1),
+            )
+
     def test_rejects_label_shape_mismatch(self):
         spec = small_spec()
         with pytest.raises(ValueError, match="labels"):
@@ -223,14 +262,16 @@ class TestOptimizers:
     def test_sgd_hand_step(self):
         params = np.array([1.0, -1.0])
         grad = np.array([2.0, 4.0])
+        expected = params - 0.1 * grad  # computed first: the step updates params in place
         new, state = nn.optimizer_step(params, grad, nn.OptimizerState(kind="sgd", lr=0.1))
-        assert_array_equal(new, params - 0.1 * grad)
+        assert_array_equal(new, expected)
         assert state.step == 1
 
     def test_sgd_zero_grad_is_fixed_point(self):
         params = np.array([0.3, -0.7, 2.0])
+        expected = params.copy()  # the step updates params in place
         new, _ = nn.optimizer_step(params, np.zeros(3), nn.OptimizerState(kind="sgd", lr=0.5))
-        assert_array_equal(new, params)
+        assert_array_equal(new, expected)
 
     def test_adam_matches_scalar_recurrence(self):
         """Three steps against the textbook recurrence evaluated by hand."""
@@ -254,19 +295,31 @@ class TestOptimizers:
         # first bias-corrected step is -lr * g/(|g| + eps), essentially -lr*sign(g)
         assert_allclose(new, -1e-3 * np.sign(grad), rtol=1e-7)
 
-    def test_adam_does_not_mutate_inputs(self):
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_step_updates_params_and_state_in_place(self, kind):
         params = np.ones(3)
         grad = np.full(3, 2.0)
-        state = nn.OptimizerState(kind="adam", lr=0.01)
+        state = nn.OptimizerState(kind=kind, lr=0.01)
+        new, new_state = nn.optimizer_step(params, grad, state)
+        assert new is params and new_state is state
+        assert np.all(params < 1.0)
+        assert_array_equal(grad, 2.0)
+        assert state.step == 1
+        buffers = [state.m, state.v, *state.scratch]
         nn.optimizer_step(params, grad, state)
-        assert_array_equal(params, 1.0)
-        assert state.m is None and state.step == 0
+        assert state.step == 2
+        # the second step reuses every buffer the first one allocated
+        for before, after in zip(buffers, [state.m, state.v, *state.scratch]):
+            assert before is after
+        if kind == "sgd":
+            assert state.m is None and state.v is None
 
     def test_fresh_clears_buffers(self):
         state = nn.OptimizerState(kind="adam", lr=0.01)
         _, state = nn.optimizer_step(np.ones(2), np.ones(2), state)
         fresh = state.fresh()
         assert fresh.m is None and fresh.v is None and fresh.step == 0
+        assert fresh.scratch is None
         assert fresh.lr == state.lr
 
     def test_rejects_unknown_kind(self):

@@ -153,6 +153,168 @@ class TestLocalTrain:
             )
 
 
+def reference_forward(spec, params, x):
+    """Forward pass with a fresh array for every intermediate; returns the
+    logits and the input of every layer."""
+    acts = [x]
+    for l, ((w_sl, b_sl), shape) in enumerate(zip(spec.layer_slices(), spec.layer_shapes())):
+        z = acts[l] @ params[w_sl].reshape(shape) + params[b_sl]
+        if l == spec.num_layers - 1:
+            return z, acts
+        acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z))
+
+
+def reference_loss_and_grad(spec, params, x, y, prox):
+    """The allocating formulas: the loss and the softmax each shift and
+    exponentiate the logits themselves, and every product is a new array."""
+    logits, acts = reference_forward(spec, params, x)
+    n = len(y)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=1))
+    loss = float(np.mean(logz - shifted[np.arange(n), y]))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    delta = e / e.sum(axis=1, keepdims=True)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grad = np.empty_like(params)
+    for l in range(spec.num_layers - 1, -1, -1):
+        w_sl, b_sl = spec.layer_slices()[l]
+        grad[w_sl] = (acts[l].T @ delta).ravel()
+        grad[b_sl] = delta.sum(axis=0)
+        if l > 0:
+            a = acts[l]
+            deriv = (a > 0.0).astype(np.float64) if spec.activation == "relu" else 1.0 - a * a
+            delta = (delta @ params[w_sl].reshape(spec.layer_shapes()[l]).T) * deriv
+    if prox is not None and prox[0] > 0:
+        mu, anchor = prox
+        diff = params - anchor
+        loss += 0.5 * mu * float(diff @ diff)
+        grad += mu * diff
+    return loss, grad
+
+
+def reference_local_train(spec, ds, client, global_params, *, epochs, batch_size,
+                          kind, lr, hooks, round_index):
+    """Local training with the functional sgd/adam update: new params, new
+    moments and a new gradient on every step."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    x = ds.features[client.indices]
+    y = ds.labels[client.indices]
+    n = len(y)
+    params = global_params.copy()
+    m = v = np.zeros_like(params)
+    rng = np.random.default_rng([client.seed, round_index])
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            _, grad = reference_loss_and_grad(spec, params, x[batch], y[batch], hooks.prox)
+            if hooks.grad_correction is not None:
+                grad = grad + hooks.grad_correction
+            if hooks.freeze is not None:
+                grad[hooks.freeze] = 0.0
+            t += 1
+            if kind == "sgd":
+                params = params - lr * grad
+            else:
+                m = b1 * m + (1.0 - b1) * grad
+                v = b2 * v + (1.0 - b2) * grad * grad
+                m_hat = m / (1.0 - b1**t)
+                v_hat = v / (1.0 - b2**t)
+                params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    cv_delta = None
+    if hooks.scaffold_c is not None:
+        cv_delta = -hooks.scaffold_c + (global_params - params) / (t * lr)
+    _, acts = reference_forward(spec, params, x)
+    return params, t, cv_delta, acts[-1].mean(axis=0)
+
+
+class TestLocalTrainReference:
+    """``local_train`` reuses its buffers and updates in place; its bits must
+    equal the allocating reference above in every hook combination."""
+
+    def setup(self, activation="relu"):
+        ds = data.generate_synthetic(3, 5, 50, 2.0, seed=30)  # 150 samples
+        spec = nn.ModelSpec((5, 8, 6, 3), activation=activation)
+        params = nn.init_model(spec, 31)
+        client = simulation.ClientState(3, np.arange(10, 110), seed=32)  # 100 samples
+        return ds, spec, params, client
+
+    @pytest.mark.parametrize(
+        "strategy, kind, lr, activation",
+        [
+            (strategies.StrategyConfig(), "adam", 1e-2, "relu"),
+            (strategies.StrategyConfig(), "sgd", 0.1, "relu"),
+            (strategies.StrategyConfig(), "adam", 1e-2, "tanh"),
+            (strategies.StrategyConfig(kind="fedprox", mu=0.5), "adam", 1e-2, "relu"),
+            (strategies.StrategyConfig(kind="fedprox", mu=0.5), "sgd", 0.1, "tanh"),
+            (strategies.StrategyConfig(kind="scaffold"), "sgd", 0.1, "relu"),
+            (strategies.StrategyConfig(kind="fedbabu"), "adam", 1e-2, "relu"),
+            (strategies.StrategyConfig(kind="fedbabu", head_layer=0), "sgd", 0.1, "relu"),
+        ],
+        ids=["adam", "sgd", "adam-tanh", "fedprox-adam", "fedprox-sgd-tanh",
+             "scaffold", "fedbabu-head", "fedbabu-first-layer"],
+    )
+    def test_matches_reference_bitwise(self, strategy, kind, lr, activation):
+        ds, spec, params, client = self.setup(activation)
+        rng = np.random.default_rng(33)
+        control = None
+        if strategy.kind == "scaffold":
+            size = spec.param_count()
+            control = (rng.normal(scale=0.05, size=size), rng.normal(scale=0.05, size=size))
+        hooks = strategies.local_hooks(strategy, params, spec, control=control)
+        # two epochs of 100 samples in batches of 16: the last batch has 4 rows
+        kwargs = dict(epochs=2, batch_size=16, hooks=hooks, round_index=4)
+        broadcast = params.copy()
+        update = simulation.local_train(
+            spec, ds, client, params, optimizer=nn.OptimizerState(kind=kind, lr=lr), **kwargs
+        )
+        weights, tau, cv_delta, z = reference_local_train(
+            spec, ds, client, params, kind=kind, lr=lr, **kwargs
+        )
+        assert_array_equal(params, broadcast)  # the broadcast vector is left as it was
+        assert update.tau == tau == 14
+        assert_array_equal(update.weights, weights)
+        assert_array_equal(update.z, z)
+        if strategy.kind == "scaffold":
+            assert_array_equal(update.cv_delta, cv_delta)
+        else:
+            assert update.cv_delta is None and cv_delta is None
+        assert not np.array_equal(update.weights, params)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_loss_matches_reference_bitwise(self, activation):
+        ds, spec, params, _ = self.setup(activation)
+        anchor = params + 0.01
+        for rows in (slice(0, 64), slice(64, 67)):
+            x, y = ds.features[rows], ds.labels[rows]
+            for prox in (None, (0.0, anchor), (0.5, anchor)):
+                loss, grad = nn.loss_and_grad(spec, params, x, y, prox=prox)
+                ref_loss, ref_grad = reference_loss_and_grad(spec, params, x, y, prox)
+                assert loss == ref_loss
+                assert_array_equal(grad, ref_grad)
+
+    def test_clients_in_turn_from_one_template_match_separate_runs(self):
+        ds, spec, params, client = self.setup()
+        other = simulation.ClientState(4, np.arange(0, 60), seed=34)
+        kwargs = dict(epochs=2, batch_size=16, hooks=strategies.LocalHooks(), round_index=1)
+        template = nn.OptimizerState(kind="adam", lr=1e-2)
+        in_turn = [
+            simulation.local_train(spec, ds, c, params, optimizer=template, **kwargs)
+            for c in (client, other)
+        ]
+        for c, got in zip((client, other), in_turn):
+            alone = simulation.local_train(
+                spec, ds, c, params, optimizer=nn.OptimizerState(kind="adam", lr=1e-2),
+                **kwargs,
+            )
+            assert_array_equal(got.weights, alone.weights)
+        assert template.m is None and template.step == 0
+        assert not np.array_equal(params, in_turn[0].weights)
+
+
 class TestRunRound:
     def test_report_shape_and_weight_identities(self):
         fed = build_federation(normalize=True)

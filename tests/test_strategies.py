@@ -75,7 +75,7 @@ class TestLocalHooks:
     def test_fedavg_hooks_are_identity(self):
         spec = nn.ModelSpec((3, 4, 2))
         hooks = strategies.local_hooks(
-            strategies.StrategyConfig(), np.zeros(spec.param_count()), spec, "adam"
+            strategies.StrategyConfig(), np.zeros(spec.param_count()), spec
         )
         assert hooks.prox is None and hooks.grad_correction is None
         assert hooks.freeze is None and hooks.scaffold_c is None
@@ -84,19 +84,11 @@ class TestLocalHooks:
         spec = nn.ModelSpec((3, 4, 2))
         anchor = np.arange(spec.param_count(), dtype=np.float64)
         hooks = strategies.local_hooks(
-            strategies.StrategyConfig(kind="fedprox", mu=0.2), anchor, spec, "adam"
+            strategies.StrategyConfig(kind="fedprox", mu=0.2), anchor, spec
         )
         mu, got = hooks.prox
         assert mu == 0.2
         assert got is anchor
-
-    def test_scaffold_rejects_adam(self):
-        spec = nn.ModelSpec((3, 4, 2))
-        with pytest.raises(ValueError, match="sgd"):
-            strategies.local_hooks(
-                strategies.StrategyConfig(kind="scaffold"), np.zeros(spec.param_count()),
-                spec, "adam", control=(np.zeros(2), np.zeros(2)),
-            )
 
     def test_scaffold_correction(self):
         spec = nn.ModelSpec((3, 4, 2))
@@ -104,7 +96,7 @@ class TestLocalHooks:
         c_i = np.full(spec.param_count(), 0.2)
         hooks = strategies.local_hooks(
             strategies.StrategyConfig(kind="scaffold"), np.zeros(spec.param_count()),
-            spec, "sgd", control=(c, c_i),
+            spec, control=(c, c_i),
         )
         assert_array_equal(hooks.grad_correction, c - c_i)
         assert hooks.scaffold_c is c
@@ -112,7 +104,7 @@ class TestLocalHooks:
     def test_fedbabu_freezes_output_layer(self):
         spec = nn.ModelSpec((3, 4, 2))
         hooks = strategies.local_hooks(
-            strategies.StrategyConfig(kind="fedbabu"), np.zeros(spec.param_count()), spec, "adam"
+            strategies.StrategyConfig(kind="fedbabu"), np.zeros(spec.param_count()), spec
         )
         assert hooks.freeze == spec.layer_span(spec.num_layers - 1)
 
@@ -127,7 +119,7 @@ class TestTrainingReductions:
         prox = simulation.local_train(
             spec, ds, client, params,
             hooks=strategies.local_hooks(
-                strategies.StrategyConfig(kind="fedprox", mu=0.0), params, spec, "adam"
+                strategies.StrategyConfig(kind="fedprox", mu=0.0), params, spec
             ),
             **kwargs,
         )
@@ -147,7 +139,7 @@ class TestTrainingReductions:
         corrected = simulation.local_train(
             spec, ds, client, params,
             hooks=strategies.local_hooks(
-                strategies.StrategyConfig(kind="scaffold"), params, spec, "sgd",
+                strategies.StrategyConfig(kind="scaffold"), params, spec,
                 control=(np.zeros(size), np.zeros(size)),
             ),
             **kwargs,
@@ -166,7 +158,7 @@ class TestTrainingReductions:
             spec, ds, client, params,
             epochs=3, batch_size=8, optimizer=nn.OptimizerState(),
             hooks=strategies.local_hooks(
-                strategies.StrategyConfig(kind="fedbabu"), params, spec, "adam"
+                strategies.StrategyConfig(kind="fedbabu"), params, spec
             ),
             round_index=0,
         )
