@@ -3,164 +3,49 @@
 A run is described by one JSON object.  ``dataset`` and ``strategy`` are
 required; everything else defaults (2 local epochs, batch 64, temperature 0.5,
 10 clients, full participation, Adam at 1e-3, Dirichlet alpha 0.5).  Unknown
-keys are rejected by name, as are out-of-range values, so typos cannot
-silently fall back to defaults.
+keys are rejected by name, as are out-of-range and non-finite values, so typos
+cannot silently fall back to defaults.
+
+Each key is declared once, on a field of its section's dataclass: its name,
+its default (MISSING: required) and a metadata ``check`` that turns the JSON
+value into the field value or raises a ConfigError naming the key (none: the
+plain type check of the default).  Parsing and ``RunConfig.to_dict`` derive
+from these fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 
 from .strategies import STRATEGY_KINDS, StrategyConfig
-
-_MISSING = object()
 
 
 class ConfigError(ValueError):
     """A configuration file or flag value is unusable."""
 
 
-@dataclass(frozen=True)
-class SyntheticData:
-    classes: int = 10
-    dims: int = 32
-    per_class: int = 500
-    spread: float = 3.0
-
-    kind = "synthetic"
-
-
-@dataclass(frozen=True)
-class IdxData:
-    images: str
-    labels: str
-
-    kind = "idx"
-
-
-@dataclass(frozen=True)
-class DirichletPartition:
-    alpha: float = 0.5
-    min_samples: int = 64
-    max_redraws: int = 100
-
-    kind = "dirichlet"
-
-
-@dataclass(frozen=True)
-class LabelSplitPartition:
-    groups: tuple[tuple[int, ...], ...]
-
-    kind = "label_split"
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    kind: str = "adam"
-    lr: float = 1e-3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    dataset: SyntheticData | IdxData
-    strategy: StrategyConfig
-    partition: DirichletPartition | LabelSplitPartition = DirichletPartition()
-    optimizer: OptimizerSettings = OptimizerSettings()
-    clients: int = 10
-    participation: float = 1.0
-    rounds: int = 30
-    epochs: int = 2
-    batch_size: int = 64
-    hidden_sizes: tuple[int, ...] = (128,)
-    activation: str = "relu"
-    normalize: bool = True
-    temperature: float = 0.5
-    seed: int = 0
-    test_fraction: float = 0.2
-    workers: int = 1
-    out: str = "runs/out"
-
-    def to_dict(self) -> dict:
-        d = self.dataset
-        if d.kind == "synthetic":
-            dataset = {
-                "kind": "synthetic",
-                "classes": d.classes,
-                "dims": d.dims,
-                "per_class": d.per_class,
-                "spread": d.spread,
-            }
-        else:
-            dataset = {"kind": "idx", "images": d.images, "labels": d.labels}
-        p = self.partition
-        if p.kind == "dirichlet":
-            partition = {
-                "kind": "dirichlet",
-                "alpha": p.alpha,
-                "min_samples": p.min_samples,
-                "max_redraws": p.max_redraws,
-            }
-        else:
-            partition = {"kind": "label_split", "groups": [list(g) for g in p.groups]}
-        return {
-            "dataset": dataset,
-            "strategy": {
-                "kind": self.strategy.kind,
-                "mu": self.strategy.mu,
-                "beta": self.strategy.beta,
-                "server_lr": self.strategy.server_lr,
-                "head_layer": self.strategy.head_layer,
-            },
-            "partition": partition,
-            "optimizer": {"kind": self.optimizer.kind, "lr": self.optimizer.lr},
-            "clients": self.clients,
-            "participation": self.participation,
-            "rounds": self.rounds,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "hidden_sizes": list(self.hidden_sizes),
-            "activation": self.activation,
-            "normalize": self.normalize,
-            "temperature": self.temperature,
-            "seed": self.seed,
-            "test_fraction": self.test_fraction,
-            "workers": self.workers,
-            "out": self.out,
-        }
-
-
-def _reject_unknown(section: dict, allowed, where: str = ""):
-    prefix = f"{where}." if where else ""
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {prefix}{key}")
-
-
-def _get(section: dict, key: str, where: str = "", default=_MISSING):
-    if key in section:
-        return section[key]
-    if default is _MISSING:
-        prefix = f"{where}." if where else ""
-        raise ConfigError(f"missing required config key: {prefix}{key}")
-    return default
-
-
-def _as_int(value, name, minimum=None, maximum=None) -> int:
+def _as_int(value, name, *, minimum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
 def _as_real(value, name, *, positive=False, low=None, high=None, low_open=False, high_open=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    # json.loads reads NaN and Infinity, and NaN passes every comparison below
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value}")
     if positive and not value > 0:
         raise ConfigError(f"{name} must be positive, got {value}")
     if low is not None and (value < low or (low_open and value == low)):
@@ -170,7 +55,7 @@ def _as_real(value, name, *, positive=False, low=None, high=None, low_open=False
     return value
 
 
-def _as_str(value, name, choices=None) -> str:
+def _as_str(value, name, *, choices=None) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be a string, got {value!r}")
     if choices is not None and value not in choices:
@@ -184,120 +69,158 @@ def _as_bool(value, name) -> bool:
     return value
 
 
-def _parse_dataset(section) -> SyntheticData | IdxData:
-    if not isinstance(section, dict):
-        raise ConfigError(f"dataset must be an object, got {section!r}")
-    kind = _as_str(_get(section, "kind", "dataset"), "dataset.kind", ("synthetic", "idx"))
-    if kind == "synthetic":
-        _reject_unknown(section, ("kind", "classes", "dims", "per_class", "spread"), "dataset")
-        return SyntheticData(
-            classes=_as_int(_get(section, "classes", default=10), "dataset.classes", minimum=2),
-            dims=_as_int(_get(section, "dims", default=32), "dataset.dims", minimum=2),
-            per_class=_as_int(_get(section, "per_class", default=500), "dataset.per_class", minimum=1),
-            spread=_as_real(_get(section, "spread", default=3.0), "dataset.spread", positive=True),
-        )
-    _reject_unknown(section, ("kind", "images", "labels"), "dataset")
-    return IdxData(
-        images=_as_str(_get(section, "images", "dataset"), "dataset.images"),
-        labels=_as_str(_get(section, "labels", "dataset"), "dataset.labels"),
-    )
+def _as_sizes(value, name) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+    return tuple(_as_int(h, name, minimum=1) for h in value)
 
 
-def _parse_strategy(section) -> StrategyConfig:
-    if not isinstance(section, dict):
-        raise ConfigError(f"strategy must be an object, got {section!r}")
-    _reject_unknown(section, ("kind", "mu", "beta", "server_lr", "head_layer"), "strategy")
-    kind = _as_str(_get(section, "kind", "strategy"), "strategy.kind", STRATEGY_KINDS)
-    try:
-        return StrategyConfig(
-            kind=kind,
-            mu=_as_real(_get(section, "mu", default=0.01), "strategy.mu", low=0.0),
-            beta=_as_real(_get(section, "beta", default=0.9), "strategy.beta", low=0.0, high=1.0, high_open=True),
-            server_lr=_as_real(_get(section, "server_lr", default=1.0), "strategy.server_lr", positive=True),
-            head_layer=_as_int(_get(section, "head_layer", default=-1), "strategy.head_layer"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"strategy: {exc}") from exc
-
-
-def _parse_partition(section) -> DirichletPartition | LabelSplitPartition:
-    if not isinstance(section, dict):
-        raise ConfigError(f"partition must be an object, got {section!r}")
-    kind = _as_str(
-        _get(section, "kind", default="dirichlet"), "partition.kind", ("dirichlet", "label_split")
-    )
-    if kind == "dirichlet":
-        _reject_unknown(section, ("kind", "alpha", "min_samples", "max_redraws"), "partition")
-        return DirichletPartition(
-            alpha=_as_real(_get(section, "alpha", default=0.5), "partition.alpha", positive=True),
-            min_samples=_as_int(_get(section, "min_samples", default=64), "partition.min_samples", minimum=1),
-            max_redraws=_as_int(_get(section, "max_redraws", default=100), "partition.max_redraws", minimum=0),
-        )
-    _reject_unknown(section, ("kind", "groups"), "partition")
-    raw = _get(section, "groups", "partition")
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigError(f"partition.groups must be a non-empty list of class lists, got {raw!r}")
+def _as_groups(value, name) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{name} must be a non-empty list of class lists, got {value!r}")
     groups = []
-    for i, group in enumerate(raw):
+    for i, group in enumerate(value):
         if not isinstance(group, (list, tuple)) or not group:
-            raise ConfigError(f"partition.groups[{i}] must be a non-empty list of classes")
-        groups.append(tuple(_as_int(c, f"partition.groups[{i}]", minimum=0) for c in group))
-    return LabelSplitPartition(groups=tuple(groups))
+            raise ConfigError(f"{name}[{i}] must be a non-empty list of classes")
+        groups.append(tuple(_as_int(c, f"{name}[{i}]", minimum=0) for c in group))
+    return tuple(groups)
 
 
-def _parse_optimizer(section) -> OptimizerSettings:
-    if not isinstance(section, dict):
-        raise ConfigError(f"optimizer must be an object, got {section!r}")
-    _reject_unknown(section, ("kind", "lr"), "optimizer")
-    return OptimizerSettings(
-        kind=_as_str(_get(section, "kind", default="adam"), "optimizer.kind", ("sgd", "adam")),
-        lr=_as_real(_get(section, "lr", default=1e-3), "optimizer.lr", positive=True),
+_PLAIN_CHECKS = {bool: _as_bool, int: _as_int, float: _as_real, str: _as_str}
+
+
+def _key(default, check, **options):
+    """A config key checked by ``check(value, name, **options)``."""
+    return field(default=default, metadata={"check": partial(check, **options)})
+
+
+def _as_object(value, name, *, cls):
+    """Build the dataclass ``cls`` from the JSON object of section ``name``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name or 'config root'} must be an object, got {value!r}")
+    prefix = f"{name}." if name else ""
+    keys = {f.name: f for f in fields(cls)}
+    for key in value:
+        # a section chosen by kind carries the kind as a class attribute
+        if key not in keys and not (key == "kind" and hasattr(cls, "kind")):
+            raise ConfigError(f"unknown config key: {prefix}{key}")
+    values = {}
+    for key, f in keys.items():
+        if key in value:
+            check = f.metadata.get("check") or _PLAIN_CHECKS[type(f.default)]
+            values[key] = check(value[key], prefix + key)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required config key: {prefix}{key}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        # StrategyConfig checks its own ranges; its message names the field
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _as_section(value, name, *, kinds, default_kind=None):
+    """A section whose ``kind`` picks its dataclass from ``kinds``; an absent
+    kind means ``default_kind``, or is an error when that is None."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    if "kind" in value:
+        kind = _as_str(value["kind"], f"{name}.kind", choices=tuple(kinds))
+    elif default_kind is None:
+        raise ConfigError(f"missing required config key: {name}.kind")
+    else:
+        kind = default_kind
+    return _as_object(value, name, cls=kinds[kind])
+
+
+@dataclass(frozen=True)
+class SyntheticData:
+    classes: int = _key(10, _as_int, minimum=2)
+    dims: int = _key(32, _as_int, minimum=2)
+    per_class: int = _key(500, _as_int, minimum=1)
+    spread: float = _key(3.0, _as_real, positive=True)
+
+    kind = "synthetic"
+
+
+@dataclass(frozen=True)
+class IdxData:
+    images: str = _key(MISSING, _as_str)
+    labels: str = _key(MISSING, _as_str)
+
+    kind = "idx"
+
+
+@dataclass(frozen=True)
+class DirichletPartition:
+    alpha: float = _key(0.5, _as_real, positive=True)
+    min_samples: int = _key(64, _as_int, minimum=1)
+    max_redraws: int = _key(100, _as_int, minimum=0)
+
+    kind = "dirichlet"
+
+
+@dataclass(frozen=True)
+class LabelSplitPartition:
+    groups: tuple[tuple[int, ...], ...] = _key(MISSING, _as_groups)
+
+    kind = "label_split"
+
+
+@dataclass(frozen=True)
+class OptimizerSettings:
+    kind: str = _key("adam", _as_str, choices=("sgd", "adam"))
+    lr: float = _key(1e-3, _as_real, positive=True)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    dataset: SyntheticData | IdxData = _key(
+        MISSING, _as_section, kinds={c.kind: c for c in (SyntheticData, IdxData)}
     )
+    # the kind is required here, though StrategyConfig defaults it
+    strategy: StrategyConfig = _key(
+        MISSING, _as_section, kinds=dict.fromkeys(STRATEGY_KINDS, StrategyConfig)
+    )
+    partition: DirichletPartition | LabelSplitPartition = _key(
+        DirichletPartition(),
+        _as_section,
+        kinds={c.kind: c for c in (DirichletPartition, LabelSplitPartition)},
+        default_kind=DirichletPartition.kind,
+    )
+    optimizer: OptimizerSettings = _key(OptimizerSettings(), _as_object, cls=OptimizerSettings)
+    clients: int = _key(10, _as_int, minimum=1)
+    participation: float = _key(1.0, _as_real, low=0.0, low_open=True, high=1.0)
+    rounds: int = _key(30, _as_int, minimum=0)
+    epochs: int = _key(2, _as_int, minimum=1)
+    batch_size: int = _key(64, _as_int, minimum=1)
+    hidden_sizes: tuple[int, ...] = _key((128,), _as_sizes)
+    activation: str = _key("relu", _as_str, choices=("relu", "tanh"))
+    normalize: bool = True
+    temperature: float = _key(0.5, _as_real, positive=True)
+    seed: int = _key(0, _as_int, minimum=0)
+    test_fraction: float = _key(0.2, _as_real, low=0.0, low_open=True, high=1.0, high_open=True)
+    workers: int = _key(1, _as_int, minimum=1)
+    out: str = "runs/out"
+
+    def to_dict(self) -> dict:
+        """The config as JSON data that ``from_dict`` reads back unchanged."""
+        return _to_json(self)
 
 
-_TOP_KEYS = (
-    "dataset", "strategy", "partition", "optimizer", "clients", "participation",
-    "rounds", "epochs", "batch_size", "hidden_sizes", "activation", "normalize",
-    "temperature", "seed", "test_fraction", "workers", "out",
-)
+def _to_json(value):
+    # sections become objects with their kind first, tuples become lists
+    if is_dataclass(value):
+        out = {"kind": value.kind} if hasattr(value, "kind") else {}
+        out.update((f.name, _to_json(getattr(value, f.name))) for f in fields(value))
+        return out
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
 def from_dict(data: dict) -> RunConfig:
     """Validate a raw JSON object into a RunConfig."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root must be an object, got {data!r}")
-    _reject_unknown(data, _TOP_KEYS)
-
-    raw_hidden = _get(data, "hidden_sizes", default=[128])
-    if not isinstance(raw_hidden, (list, tuple)) or not raw_hidden:
-        raise ConfigError(f"hidden_sizes must be a non-empty list, got {raw_hidden!r}")
-    hidden = tuple(_as_int(h, "hidden_sizes", minimum=1) for h in raw_hidden)
-
-    cfg = RunConfig(
-        dataset=_parse_dataset(_get(data, "dataset")),
-        strategy=_parse_strategy(_get(data, "strategy")),
-        partition=_parse_partition(_get(data, "partition", default={})),
-        optimizer=_parse_optimizer(_get(data, "optimizer", default={})),
-        clients=_as_int(_get(data, "clients", default=10), "clients", minimum=1),
-        participation=_as_real(
-            _get(data, "participation", default=1.0), "participation",
-            low=0.0, low_open=True, high=1.0,
-        ),
-        rounds=_as_int(_get(data, "rounds", default=30), "rounds", minimum=0),
-        epochs=_as_int(_get(data, "epochs", default=2), "epochs", minimum=1),
-        batch_size=_as_int(_get(data, "batch_size", default=64), "batch_size", minimum=1),
-        hidden_sizes=hidden,
-        activation=_as_str(_get(data, "activation", default="relu"), "activation", ("relu", "tanh")),
-        normalize=_as_bool(_get(data, "normalize", default=True), "normalize"),
-        temperature=_as_real(_get(data, "temperature", default=0.5), "temperature", positive=True),
-        seed=_as_int(_get(data, "seed", default=0), "seed", minimum=0),
-        test_fraction=_as_real(
-            _get(data, "test_fraction", default=0.2), "test_fraction",
-            low=0.0, low_open=True, high=1.0, high_open=True,
-        ),
-        workers=_as_int(_get(data, "workers", default=1), "workers", minimum=1),
-        out=_as_str(_get(data, "out", default="runs/out"), "out"),
-    )
+    cfg = _as_object(data, "", cls=RunConfig)
     _cross_validate(cfg)
     return cfg
 
@@ -331,25 +254,22 @@ def parse_bool_flag(text: str) -> bool:
 
 def apply_overrides(data: dict, args) -> dict:
     """Fold CLI flag values into a raw config dict; flags win over the file."""
+    # everything a flag writes into is checked before anything is changed
+    if not isinstance(data, dict):
+        raise ConfigError(f"config root must be an object, got {data!r}")
+    for section, flag in (("strategy", args.strategy), ("partition", args.alpha)):
+        if flag is not None and not isinstance(data.get(section, {}), dict):
+            raise ConfigError(f"{section} must be an object, got {data[section]!r}")
+    if args.alpha is not None and data.get("partition", {}).get("kind", "dirichlet") != "dirichlet":
+        raise ConfigError("--alpha applies only to dirichlet partitioning")
     if args.strategy is not None:
         data.setdefault("strategy", {})["kind"] = args.strategy
-    if args.normalize is not None:
-        data["normalize"] = args.normalize
-    if args.temperature is not None:
-        data["temperature"] = args.temperature
     if args.alpha is not None:
-        partition = data.setdefault("partition", {})
-        if partition.get("kind", "dirichlet") != "dirichlet":
-            raise ConfigError("--alpha applies only to dirichlet partitioning")
-        partition["alpha"] = args.alpha
-    if args.clients is not None:
-        data["clients"] = args.clients
-    if args.rounds is not None:
-        data["rounds"] = args.rounds
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.out is not None:
-        data["out"] = args.out
+        data.setdefault("partition", {})["alpha"] = args.alpha
+    # the other flags are named after the top-level key they set
+    for key in ("normalize", "temperature", "clients", "rounds", "seed", "out"):
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
     return data
 
 

@@ -148,11 +148,15 @@ def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - a * a
 
 
-def _forward_cached(spec, params, x):
-    """Returns (logits, acts) where acts[l] is the input to layer l."""
+def _forward_cached(spec, params, x, *, latent_only=False):
+    """Returns (logits, acts) where acts[l] is the input to layer l, so
+    acts[-1] is the latent; ``latent_only`` skips the output layer and
+    returns None for the logits."""
     acts = [x]
     last = spec.num_layers - 1
     for l, ((w_sl, b_sl), shape) in enumerate(zip(spec.layer_slices(), spec.layer_shapes())):
+        if l == last and latent_only:
+            return None, acts
         z = acts[l] @ params[w_sl].reshape(shape)
         z += params[b_sl]
         if l == last:
@@ -322,8 +326,9 @@ def optimizer_step(params, grad, state: OptimizerState):
 
 def mean_latent(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Mean of the last-hidden-layer activations over all rows of ``x``."""
+    params = _check_params(spec, params)
     x = _check_batch(spec, x)
     if x.shape[0] == 0:
         raise ValueError("mean latent of an empty batch is undefined")
-    _, latent = forward(spec, params, x)
-    return latent.mean(axis=0)
+    _, acts = _forward_cached(spec, params, x, latent_only=True)
+    return acts[-1].mean(axis=0)

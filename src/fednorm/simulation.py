@@ -165,17 +165,8 @@ class Federation:
 
     def _train_one(self, client: ClientState) -> strategies.ClientUpdate:
         server = self.server
-        control = None
-        if server.strategy.kind == "scaffold":
-            control = (
-                server.strategy_state.c,
-                server.strategy_state.client_c[client.client_id],
-            )
         hooks = strategies.local_hooks(
-            server.strategy,
-            server.params,
-            server.spec,
-            control=control,
+            server.strategy, server.strategy_state, server.params, client.client_id
         )
         return local_train(
             server.spec,
@@ -200,7 +191,7 @@ class Federation:
         else:
             updates = [self._train_one(c) for c in participants]
 
-        nu = strategies.importance(updates, server.strategy)
+        nu = strategies.importance(updates)
         if server.normalize and len(updates) >= 2:
             latents = [contribution.MeanLatent(up.client_id, up.z) for up in updates]
             similarity = contribution.similarity_matrix(latents)

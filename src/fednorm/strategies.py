@@ -34,7 +34,7 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"strategy must be one of {STRATEGY_KINDS}, got {self.kind!r}")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError(f"mu must be non-negative, got {self.mu}")
         if not 0 <= self.beta < 1:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
@@ -100,30 +100,27 @@ def init_strategy_state(
 
 def local_hooks(
     cfg: StrategyConfig,
+    state: ServerStrategyState,
     global_params: np.ndarray,
-    spec: nn.ModelSpec,
-    control: tuple[np.ndarray, np.ndarray] | None = None,
+    client_id: int,
 ) -> LocalHooks:
     """Build the local-training adjustments for one client.
 
-    ``control`` is the (server, client) control-variate pair, required for
-    scaffold.  Scaffold also needs plain sgd locally, since its variate update
-    inverts the local step size; the config loader and ``Federation`` check
-    that once, before any round runs.
+    Scaffold takes the server and client control variates from ``state``, and
+    fedbabu its frozen span.  Scaffold also needs plain sgd locally, since its
+    variate update inverts the local step size; the config loader and
+    ``Federation`` check that once, before any round runs.
     """
     if cfg.kind == "fedprox":
         return LocalHooks(prox=(cfg.mu, global_params))
     if cfg.kind == "scaffold":
-        if control is None:
-            raise ValueError("scaffold needs the (server, client) control variates")
-        c, c_i = control
-        return LocalHooks(grad_correction=c - c_i, scaffold_c=c)
+        return LocalHooks(grad_correction=state.c - state.client_c[client_id], scaffold_c=state.c)
     if cfg.kind == "fedbabu":
-        return LocalHooks(freeze=spec.layer_span(cfg.head_layer))
+        return LocalHooks(freeze=state.head)
     return LocalHooks()
 
 
-def importance(updates: list[ClientUpdate], cfg: StrategyConfig) -> np.ndarray:
+def importance(updates: list[ClientUpdate]) -> np.ndarray:
     """Sample-count weights n_r / sum(n) over the participating clients."""
     if not updates:
         raise ValueError("importance of an empty client set is undefined")

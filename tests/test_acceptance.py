@@ -275,11 +275,12 @@ class TestStrategyReductions:
             plain = simulation.local_train(
                 spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
             )
+            prox_cfg = strategies.StrategyConfig(kind="fedprox", mu=0.0)
             prox = simulation.local_train(
                 spec, ds, client, params,
                 hooks=strategies.local_hooks(
-                    strategies.StrategyConfig(kind="fedprox", mu=0.0),
-                    params, spec,
+                    prox_cfg, strategies.init_strategy_state(prox_cfg, spec, params, 1),
+                    params, client.client_id,
                 ),
                 **kwargs,
             )
@@ -331,12 +332,12 @@ class TestStrategyReductions:
             plain = simulation.local_train(
                 spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
             )
+            scaffold_cfg = strategies.StrategyConfig(kind="scaffold")
+            state = strategies.init_strategy_state(scaffold_cfg, spec, params, 1)
+            state.c, state.client_c[client.client_id] = np.zeros(size), np.zeros(size)
             corrected = simulation.local_train(
                 spec, ds, client, params,
-                hooks=strategies.local_hooks(
-                    strategies.StrategyConfig(kind="scaffold"), params, spec,
-                    control=(np.zeros(size), np.zeros(size)),
-                ),
+                hooks=strategies.local_hooks(scaffold_cfg, state, params, client.client_id),
                 **kwargs,
             )
             assert corrected.tau == 1

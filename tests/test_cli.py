@@ -91,6 +91,26 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_number_fails_before_writing(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace('"epochs": 1', '"test_fraction": NaN'))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: test_fraction must be a finite number")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "raw, flag",
+        [
+            ([1, 2], ["--rounds", "2"]),
+            ({"dataset": {"kind": "synthetic"}, "strategy": "fedavg"}, ["--strategy", "fedprox"]),
+        ],
+    )
+    def test_flags_on_a_malformed_config_fail_cleanly(self, tmp_path, capsys, raw, flag):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(path), *flag]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_strategy_flag_exits_via_argparse(self, tmp_path):
         path = write_config(tmp_path)
         with pytest.raises(SystemExit):

@@ -80,6 +80,31 @@ class TestRejections:
         with pytest.raises(cfg.ConfigError, match="test_fraction"):
             cfg.from_dict(dict(minimal(), test_fraction=1.0))
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("strategy.mu", "NaN"),
+            ("participation", "NaN"),
+            ("test_fraction", "NaN"),
+            ("temperature", "Infinity"),
+            ("optimizer.lr", "NaN"),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected(self, key, text):
+        data = minimal()
+        data["strategy"]["kind"] = "fedprox"
+        section, _, name = key.rpartition(".")
+        (data.setdefault(section, {}) if section else data)[name] = json.loads(text)
+        with pytest.raises(cfg.ConfigError, match=rf"^{key} must be a finite number"):
+            cfg.from_dict(data)
+
+    def test_strategy_ranges_name_the_section_and_field(self):
+        for key, bad in (("mu", -1.0), ("beta", 1.0), ("server_lr", 0.0)):
+            data = minimal()
+            data["strategy"][key] = bad
+            with pytest.raises(cfg.ConfigError, match=rf"^strategy: .*{key} must"):
+                cfg.from_dict(data)
+
     def test_booleans_are_not_integers(self):
         with pytest.raises(cfg.ConfigError, match="clients must be an integer"):
             cfg.from_dict(dict(minimal(), clients=True))
@@ -161,6 +186,20 @@ class TestOverrides:
         )
         with pytest.raises(cfg.ConfigError, match="alpha"):
             cfg.apply_overrides(data, flags(alpha=0.1))
+
+    @pytest.mark.parametrize(
+        "data, flag, where",
+        [
+            ([1, 2], dict(rounds=2), "config root"),
+            (dict(minimal(), strategy="fedavg"), dict(strategy="fedprox"), "strategy"),
+            (dict(minimal(), partition="dirichlet"), dict(alpha=0.1), "partition"),
+        ],
+    )
+    def test_flags_into_a_non_object_are_rejected_unchanged(self, data, flag, where):
+        before = json.dumps(data)
+        with pytest.raises(cfg.ConfigError, match=f"^{where} must be an object"):
+            cfg.apply_overrides(data, flags(**flag))
+        assert json.dumps(data) == before
 
     def test_alpha_flag_reaches_the_partition(self):
         merged = cfg.apply_overrides(dict(minimal()), flags(alpha=0.1))

@@ -260,11 +260,12 @@ class TestLocalTrainReference:
     def test_matches_reference_bitwise(self, strategy, kind, lr, activation):
         ds, spec, params, client = self.setup(activation)
         rng = np.random.default_rng(33)
-        control = None
+        state = strategies.init_strategy_state(strategy, spec, params, client.client_id + 1)
         if strategy.kind == "scaffold":
             size = spec.param_count()
-            control = (rng.normal(scale=0.05, size=size), rng.normal(scale=0.05, size=size))
-        hooks = strategies.local_hooks(strategy, params, spec, control=control)
+            state.c = rng.normal(scale=0.05, size=size)
+            state.client_c[client.client_id] = rng.normal(scale=0.05, size=size)
+        hooks = strategies.local_hooks(strategy, state, params, client.client_id)
         # two epochs of 100 samples in batches of 16: the last batch has 4 rows
         kwargs = dict(epochs=2, batch_size=16, hooks=hooks, round_index=4)
         broadcast = params.copy()

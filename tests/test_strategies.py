@@ -52,40 +52,39 @@ class TestStrategyConfig:
 class TestImportance:
     def test_equal_samples(self):
         updates = [make_update(0, np.ones(2), n=10), make_update(1, np.ones(2), n=10)]
-        assert_array_equal(strategies.importance(updates, strategies.StrategyConfig()), [0.5, 0.5])
+        assert_array_equal(strategies.importance(updates), [0.5, 0.5])
 
     def test_proportional_samples(self):
         updates = [make_update(0, np.ones(2), n=30), make_update(1, np.ones(2), n=10)]
-        assert_array_equal(
-            strategies.importance(updates, strategies.StrategyConfig()), [0.75, 0.25]
-        )
+        assert_array_equal(strategies.importance(updates), [0.75, 0.25])
 
     def test_single_client(self):
         updates = [make_update(0, np.ones(2), n=7)]
-        assert_array_equal(strategies.importance(updates, strategies.StrategyConfig()), [1.0])
+        assert_array_equal(strategies.importance(updates), [1.0])
 
     def test_rejects_empty_or_nonpositive(self):
         with pytest.raises(ValueError, match="empty"):
-            strategies.importance([], strategies.StrategyConfig())
+            strategies.importance([])
         with pytest.raises(ValueError, match="positive"):
-            strategies.importance([make_update(0, np.ones(2), n=0)], strategies.StrategyConfig())
+            strategies.importance([make_update(0, np.ones(2), n=0)])
 
 
 class TestLocalHooks:
     def test_fedavg_hooks_are_identity(self):
         spec = nn.ModelSpec((3, 4, 2))
-        hooks = strategies.local_hooks(
-            strategies.StrategyConfig(), np.zeros(spec.param_count()), spec
-        )
+        cfg = strategies.StrategyConfig()
+        params = np.zeros(spec.param_count())
+        state = strategies.init_strategy_state(cfg, spec, params, 1)
+        hooks = strategies.local_hooks(cfg, state, params, 0)
         assert hooks.prox is None and hooks.grad_correction is None
         assert hooks.freeze is None and hooks.scaffold_c is None
 
     def test_fedprox_anchor_is_broadcast(self):
         spec = nn.ModelSpec((3, 4, 2))
         anchor = np.arange(spec.param_count(), dtype=np.float64)
-        hooks = strategies.local_hooks(
-            strategies.StrategyConfig(kind="fedprox", mu=0.2), anchor, spec
-        )
+        cfg = strategies.StrategyConfig(kind="fedprox", mu=0.2)
+        state = strategies.init_strategy_state(cfg, spec, anchor, 1)
+        hooks = strategies.local_hooks(cfg, state, anchor, 0)
         mu, got = hooks.prox
         assert mu == 0.2
         assert got is anchor
@@ -94,18 +93,20 @@ class TestLocalHooks:
         spec = nn.ModelSpec((3, 4, 2))
         c = np.full(spec.param_count(), 0.5)
         c_i = np.full(spec.param_count(), 0.2)
-        hooks = strategies.local_hooks(
-            strategies.StrategyConfig(kind="scaffold"), np.zeros(spec.param_count()),
-            spec, control=(c, c_i),
-        )
+        cfg = strategies.StrategyConfig(kind="scaffold")
+        params = np.zeros(spec.param_count())
+        state = strategies.init_strategy_state(cfg, spec, params, 1)
+        state.c, state.client_c[0] = c, c_i
+        hooks = strategies.local_hooks(cfg, state, params, 0)
         assert_array_equal(hooks.grad_correction, c - c_i)
         assert hooks.scaffold_c is c
 
     def test_fedbabu_freezes_output_layer(self):
         spec = nn.ModelSpec((3, 4, 2))
-        hooks = strategies.local_hooks(
-            strategies.StrategyConfig(kind="fedbabu"), np.zeros(spec.param_count()), spec
-        )
+        cfg = strategies.StrategyConfig(kind="fedbabu")
+        params = np.zeros(spec.param_count())
+        state = strategies.init_strategy_state(cfg, spec, params, 1)
+        hooks = strategies.local_hooks(cfg, state, params, 0)
         assert hooks.freeze == spec.layer_span(spec.num_layers - 1)
 
 
@@ -116,11 +117,11 @@ class TestTrainingReductions:
         plain = simulation.local_train(
             spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
         )
+        cfg = strategies.StrategyConfig(kind="fedprox", mu=0.0)
+        state = strategies.init_strategy_state(cfg, spec, params, client.client_id + 1)
         prox = simulation.local_train(
             spec, ds, client, params,
-            hooks=strategies.local_hooks(
-                strategies.StrategyConfig(kind="fedprox", mu=0.0), params, spec
-            ),
+            hooks=strategies.local_hooks(cfg, state, params, client.client_id),
             **kwargs,
         )
         assert_array_equal(plain.weights, prox.weights)
@@ -136,12 +137,12 @@ class TestTrainingReductions:
         plain = simulation.local_train(
             spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
         )
+        cfg = strategies.StrategyConfig(kind="scaffold")
+        state = strategies.init_strategy_state(cfg, spec, params, client.client_id + 1)
+        state.c, state.client_c[client.client_id] = np.zeros(size), np.zeros(size)
         corrected = simulation.local_train(
             spec, ds, client, params,
-            hooks=strategies.local_hooks(
-                strategies.StrategyConfig(kind="scaffold"), params, spec,
-                control=(np.zeros(size), np.zeros(size)),
-            ),
+            hooks=strategies.local_hooks(cfg, state, params, client.client_id),
             **kwargs,
         )
         assert corrected.tau == 1  # single batch, one local step
@@ -154,12 +155,12 @@ class TestTrainingReductions:
     def test_fedbabu_head_stays_at_broadcast(self):
         ds, spec, params, client = training_setup()
         head = spec.layer_span(spec.num_layers - 1)
+        cfg = strategies.StrategyConfig(kind="fedbabu")
+        state = strategies.init_strategy_state(cfg, spec, params, client.client_id + 1)
         update = simulation.local_train(
             spec, ds, client, params,
             epochs=3, batch_size=8, optimizer=nn.OptimizerState(),
-            hooks=strategies.local_hooks(
-                strategies.StrategyConfig(kind="fedbabu"), params, spec
-            ),
+            hooks=strategies.local_hooks(cfg, state, params, client.client_id),
             round_index=0,
         )
         assert_array_equal(update.weights[head], params[head])
@@ -350,7 +351,7 @@ class TestNormalizationComposability:
                 head = spec.layer_span(spec.num_layers - 1)
                 for up in updates:
                     up.weights[head] = global_params[head]
-            nu = strategies.importance(updates, cfg)
+            nu = strategies.importance(updates)
             latents = [co.MeanLatent(up.client_id, up.z) for up in updates]
             lam = co.contribution_factors(co.similarity_matrix(latents), 0.5)
             u = co.normalize_weights(lam, nu)
