@@ -98,8 +98,15 @@ def contribution_factors(similarity: np.ndarray, temperature: float) -> np.ndarr
     # identical row sums (a plain axis sum varies with the diagonal position)
     off = s[~np.eye(r, dtype=bool)].reshape(r, r - 1)
     sigma = off.sum(axis=1) + np.diagonal(s)
-    scaled = sigma / temperature
-    scaled -= scaled.max()
+    with np.errstate(over="ignore"):
+        scaled = sigma / temperature
+        if not np.isfinite(scaled).all():
+            raise ValueError(
+                f"temperature {temperature!r} is too small: row sums / temperature "
+                "overflow float64"
+            )
+        # a gap below the float range rounds to -inf, whose exp is exactly 0
+        scaled -= scaled.max()
     e = np.exp(scaled)
     return 1.0 - e / e.sum()
 

@@ -34,7 +34,6 @@ class ServerState:
     spec: nn.ModelSpec
     params: np.ndarray
     strategy: strategies.StrategyConfig
-    strategy_state: strategies.ServerStrategyState
     normalize: bool = True
     temperature: float = 0.5
     round_index: int = 0
@@ -118,22 +117,18 @@ def local_train(
                 ) from exc
             steps += 1
 
-    cv_delta = None
-    if hooks.scaffold_c is not None:
-        cv_delta = -hooks.scaffold_c + (global_params - params) / (steps * optimizer.lr)
     return strategies.ClientUpdate(
         client_id=client.client_id,
         weights=params,
         z=nn.mean_latent(spec, params, x),
         n=n,
         tau=steps,
-        cv_delta=cv_delta,
     )
 
 
 @dataclass
 class Federation:
-    """The full simulation: datasets, clients, server and training knobs."""
+    """The full simulation: datasets, clients, server, training knobs and aggregation rule."""
 
     train: data.Dataset
     test: data.Dataset
@@ -145,16 +140,17 @@ class Federation:
     participation: float = 1.0
     seed: int = 0
     workers: int = 1
+    rule: strategies.FedAvg = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.participation <= 1.0:
             raise ValueError(f"participation must be in (0, 1], got {self.participation}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.server.strategy.kind == "scaffold" and self.optimizer.kind != "sgd":
-            raise ValueError(
-                f"scaffold requires the sgd local optimizer, got {self.optimizer.kind!r}"
-            )
+        server = self.server
+        self.rule = strategies.RULES[server.strategy.kind](
+            server.strategy, server.spec, server.params, len(self.clients), self.optimizer
+        )
 
     def _sample_participants(self, round_index: int) -> list[ClientState]:
         total = len(self.clients)
@@ -165,9 +161,6 @@ class Federation:
 
     def _train_one(self, client: ClientState) -> strategies.ClientUpdate:
         server = self.server
-        hooks = strategies.local_hooks(
-            server.strategy, server.strategy_state, server.params, client.client_id
-        )
         return local_train(
             server.spec,
             self.train,
@@ -176,7 +169,7 @@ class Federation:
             epochs=self.epochs,
             batch_size=self.batch_size,
             optimizer=self.optimizer,
-            hooks=hooks,
+            hooks=self.rule.hooks(server.params, client.client_id),
             round_index=server.round_index,
         )
 
@@ -204,9 +197,7 @@ class Federation:
             lam = np.full(len(updates), 1.0 - 1.0 / len(updates))
             u = nu
 
-        new_params, server.strategy_state = strategies.aggregate(
-            server.params, updates, u, server.strategy, server.strategy_state
-        )
+        new_params = strategies.aggregate(server.params, updates, u, self.rule)
         accuracy, loss = evaluate(server.spec, new_params, self.test)
         metrics = [
             ClientRoundMetrics(
@@ -278,9 +269,6 @@ def run_experiment(config, on_report=None) -> ExperimentResult:
         spec=spec,
         params=params,
         strategy=config.strategy,
-        strategy_state=strategies.init_strategy_state(
-            config.strategy, spec, params, plan.num_clients
-        ),
         normalize=config.normalize,
         temperature=config.temperature,
     )

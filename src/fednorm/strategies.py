@@ -8,13 +8,11 @@ weights, so contribution normalization composes with any of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-
-STRATEGY_KINDS = ("fedavg", "fedprox", "scaffold", "sgdm", "fednova", "fedbabu")
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,6 @@ class ClientUpdate:
     z: np.ndarray
     n: int
     tau: int
-    cv_delta: np.ndarray | None = None
 
 
 @dataclass
@@ -60,64 +57,12 @@ class LocalHooks:
 
     ``prox`` is a (mu, anchor) penalty; ``grad_correction`` is added to every
     minibatch gradient; ``freeze`` marks parameter entries whose gradient is
-    zeroed; ``scaffold_c`` triggers the control-variate delta computation.
+    zeroed.
     """
 
     prox: tuple[float, np.ndarray] | None = None
     grad_correction: np.ndarray | None = None
     freeze: slice | None = None
-    scaffold_c: np.ndarray | None = None
-
-
-@dataclass
-class ServerStrategyState:
-    """Cross-round server memory; mutated only by the orchestration thread."""
-
-    num_clients: int
-    momentum: np.ndarray | None = None
-    c: np.ndarray | None = None
-    client_c: dict[int, np.ndarray] = field(default_factory=dict)
-    head: slice | None = None
-    frozen_head: np.ndarray | None = None
-
-
-def init_strategy_state(
-    cfg: StrategyConfig, spec: nn.ModelSpec, params: np.ndarray, num_clients: int
-) -> ServerStrategyState:
-    """Allocate the round-zero server memory for ``cfg.kind``."""
-    state = ServerStrategyState(num_clients=num_clients)
-    size = len(params)
-    if cfg.kind == "sgdm":
-        state.momentum = np.zeros(size)
-    elif cfg.kind == "scaffold":
-        state.c = np.zeros(size)
-        state.client_c = {r: np.zeros(size) for r in range(num_clients)}
-    elif cfg.kind == "fedbabu":
-        state.head = spec.layer_span(cfg.head_layer)
-        state.frozen_head = params[state.head].copy()
-    return state
-
-
-def local_hooks(
-    cfg: StrategyConfig,
-    state: ServerStrategyState,
-    global_params: np.ndarray,
-    client_id: int,
-) -> LocalHooks:
-    """Build the local-training adjustments for one client.
-
-    Scaffold takes the server and client control variates from ``state``, and
-    fedbabu its frozen span.  Scaffold also needs plain sgd locally, since its
-    variate update inverts the local step size; the config loader and
-    ``Federation`` check that once, before any round runs.
-    """
-    if cfg.kind == "fedprox":
-        return LocalHooks(prox=(cfg.mu, global_params))
-    if cfg.kind == "scaffold":
-        return LocalHooks(grad_correction=state.c - state.client_c[client_id], scaffold_c=state.c)
-    if cfg.kind == "fedbabu":
-        return LocalHooks(freeze=state.head)
-    return LocalHooks()
 
 
 def importance(updates: list[ClientUpdate]) -> np.ndarray:
@@ -130,14 +75,11 @@ def importance(updates: list[ClientUpdate]) -> np.ndarray:
     return n / n.sum()
 
 
-def _weighted_average(updates: list[ClientUpdate], u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(updates[0].weights)
-    for weight, update in zip(u, updates):
-        out += weight * update.weights
-    return out
-
-
-def _check_aggregate_args(global_params, updates, u):
+def aggregate(
+    global_params: np.ndarray, updates: list[ClientUpdate], u: np.ndarray, rule: FedAvg
+) -> np.ndarray:
+    """Fold the client updates into a new global vector with ``rule``, which
+    updates its own server memory in place.  Non-finite output raises."""
     if not updates:
         raise ValueError("cannot aggregate an empty update list")
     if len(u) != len(updates):
@@ -150,37 +92,95 @@ def _check_aggregate_args(global_params, updates, u):
                 f"client {up.client_id} weight shape {up.weights.shape} "
                 f"does not match global {global_params.shape}"
             )
+    new = rule.fold(global_params, updates, np.asarray(u, dtype=np.float64))
+    if not np.isfinite(new).all():
+        raise nn.TrainingDiverged(f"aggregation produced non-finite parameters ({rule.cfg.kind})")
+    return new
 
 
-def aggregate(
-    global_params: np.ndarray,
-    updates: list[ClientUpdate],
-    u: np.ndarray,
-    cfg: StrategyConfig,
-    state: ServerStrategyState,
-):
-    """Fold the client updates into a new global vector.
+class FedAvg:
+    """Plain weighted averaging; every other rule overrides only what it changes.
 
-    Returns ``(new_params, state)``; ``state`` is updated in place for the
-    strategies that keep server memory.  Non-finite output raises.
+    ``hooks`` runs on worker threads and only reads the rule's server memory;
+    ``fold`` alone updates it, once the round's clients have all finished."""
+
+    def __init__(self, cfg: StrategyConfig, spec: nn.ModelSpec, params: np.ndarray,
+                 num_clients: int, optimizer: nn.OptimizerState):
+        self.cfg = cfg
+
+    def hooks(self, global_params: np.ndarray, client_id: int) -> LocalHooks:
+        return LocalHooks()
+
+    def fold(self, global_params: np.ndarray, updates: list[ClientUpdate],
+             u: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(updates[0].weights)
+        for weight, update in zip(u, updates):
+            out += weight * update.weights
+        return out
+
+
+class FedProx(FedAvg):
+    """Weighted averaging of clients trained with a proximal pull to the broadcast."""
+
+    def hooks(self, global_params, client_id):
+        return LocalHooks(prox=(self.cfg.mu, global_params))
+
+
+class Scaffold(FedAvg):
+    """Control-variate drift correction with a server step size.
+
+    The variate update is option II of arXiv:1910.06378, which needs only what
+    the server holds; its division by the local rate presumes plain sgd steps.
     """
-    _check_aggregate_args(global_params, updates, u)
-    u = np.asarray(u, dtype=np.float64)
 
-    if cfg.kind in ("fedavg", "fedprox"):
-        new = _weighted_average(updates, u)
-    elif cfg.kind == "fedbabu":
-        new = _weighted_average(updates, u)
-        new[state.head] = state.frozen_head
-    elif cfg.kind == "sgdm":
-        avg = _weighted_average(updates, u)
+    def __init__(self, cfg, spec, params, num_clients, optimizer):
+        super().__init__(cfg, spec, params, num_clients, optimizer)
+        if optimizer.kind != "sgd":
+            raise ValueError(f"scaffold requires the sgd local optimizer, got {optimizer.kind!r}")
+        self.lr = optimizer.lr
+        self.c = np.zeros(len(params))
+        self.client_c = {r: np.zeros(len(params)) for r in range(num_clients)}
+
+    def hooks(self, global_params, client_id):
+        return LocalHooks(grad_correction=self.c - self.client_c[client_id])
+
+    def fold(self, global_params, updates, u):
+        drift = np.zeros_like(global_params)
+        # row r is -c + (g - w_r) / (tau_r * lr), built in place to spare heap churn
+        deltas = np.empty((len(updates), len(global_params)))
+        for weight, up, delta in zip(u, updates, deltas):
+            np.subtract(global_params, up.weights, out=delta)
+            drift += weight * delta
+            delta /= up.tau * self.lr
+            delta -= self.c
+        self.c = self.c + (len(updates) / len(self.client_c)) * deltas.mean(axis=0)
+        for up, delta in zip(updates, deltas):
+            self.client_c[up.client_id] = self.client_c[up.client_id] + delta
+        return global_params - self.cfg.server_lr * drift
+
+
+class SGDM(FedAvg):
+    """Server momentum on the averaged step (FedAvgM)."""
+
+    def __init__(self, cfg, spec, params, num_clients, optimizer):
+        super().__init__(cfg, spec, params, num_clients, optimizer)
+        self.momentum = np.zeros(len(params))
+
+    def fold(self, global_params, updates, u):
+        cfg = self.cfg
+        avg = super().fold(global_params, updates, u)
         delta = global_params - avg
-        m_prev = state.momentum
-        state.momentum = cfg.beta * m_prev + delta
+        m_prev = self.momentum
+        self.momentum = cfg.beta * m_prev + delta
         # rearranged from g - lr*(beta*m + delta) so that beta=0, lr=1 lands
         # bitwise on the plain weighted average
-        new = avg + (1.0 - cfg.server_lr) * delta - (cfg.server_lr * cfg.beta) * m_prev
-    elif cfg.kind == "fednova":
+        return avg + (1.0 - cfg.server_lr) * delta - (cfg.server_lr * cfg.beta) * m_prev
+
+
+class FedNova(FedAvg):
+    """Step-count normalized averaging: each client's drift is divided by its tau."""
+
+    def fold(self, global_params, updates, u):
         taus = np.array([up.tau for up in updates], dtype=np.float64)
         if (taus <= 0).any():
             raise ValueError(f"client step counts must be positive, got {taus}")
@@ -188,23 +188,34 @@ def aggregate(
         direction = np.zeros_like(global_params)
         for weight, up, tau in zip(u, updates, taus):
             direction += weight * (global_params - up.weights) / tau
-        new = global_params - tau_eff * direction
-    elif cfg.kind == "scaffold":
-        drift = np.zeros_like(global_params)
-        for weight, up in zip(u, updates):
-            drift += weight * (global_params - up.weights)
-        new = global_params - cfg.server_lr * drift
-        deltas = []
-        for up in updates:
-            if up.cv_delta is None:
-                raise ValueError(f"client {up.client_id} update carries no variate delta")
-            deltas.append(up.cv_delta)
-        state.c = state.c + (len(updates) / state.num_clients) * np.mean(deltas, axis=0)
-        for up in updates:
-            state.client_c[up.client_id] = state.client_c[up.client_id] + up.cv_delta
-    else:
-        raise AssertionError(f"unhandled strategy {cfg.kind}")
+        return global_params - tau_eff * direction
 
-    if not np.isfinite(new).all():
-        raise nn.TrainingDiverged(f"aggregation produced non-finite parameters ({cfg.kind})")
-    return new, state
+
+class FedBABU(FedAvg):
+    """Averaging of the body; the head layer keeps its round-zero values.
+
+    Every fold copies the head back from the broadcast, so it never moves.
+    """
+
+    def __init__(self, cfg, spec, params, num_clients, optimizer):
+        super().__init__(cfg, spec, params, num_clients, optimizer)
+        self.head = spec.layer_span(cfg.head_layer)
+
+    def hooks(self, global_params, client_id):
+        return LocalHooks(freeze=self.head)
+
+    def fold(self, global_params, updates, u):
+        new = super().fold(global_params, updates, u)
+        new[self.head] = global_params[self.head]
+        return new
+
+
+RULES = {
+    "fedavg": FedAvg,
+    "fedprox": FedProx,
+    "scaffold": Scaffold,
+    "sgdm": SGDM,
+    "fednova": FedNova,
+    "fedbabu": FedBABU,
+}
+STRATEGY_KINDS = tuple(RULES)

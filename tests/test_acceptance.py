@@ -122,7 +122,6 @@ class TestHomogeneityNoOp:
                 train, test = data.train_test_split(ds, 0.25, 43)
                 spec = nn.ModelSpec((6, 16, 3))
                 params = nn.init_model(spec, 44)
-                strategy = strategies.StrategyConfig()
                 clients = [
                     simulation.ClientState(i, np.arange(len(train)), seed=77)
                     for i in range(10)
@@ -130,10 +129,7 @@ class TestHomogeneityNoOp:
                 server = simulation.ServerState(
                     spec=spec,
                     params=params,
-                    strategy=strategy,
-                    strategy_state=strategies.init_strategy_state(
-                        strategy, spec, params, 10
-                    ),
+                    strategy=strategies.StrategyConfig(),
                     normalize=normalize,
                 )
                 return simulation.Federation(
@@ -244,23 +240,17 @@ class TestStrategyReductions:
             ]
             u = rng.dirichlet(np.ones(4))
             g = rng.normal(size=9)
-            avg_cfg = strategies.StrategyConfig()
-            nova_cfg = strategies.StrategyConfig(kind="fednova")
-            fedavg, _ = strategies.aggregate(
-                g, updates, u, avg_cfg,
-                strategies.init_strategy_state(avg_cfg, None, g, 4),
-            )
-            nova, _ = strategies.aggregate(
-                g, updates, u, nova_cfg,
-                strategies.init_strategy_state(nova_cfg, None, g, 4),
-            )
+            def rule(**knobs):
+                cfg = strategies.StrategyConfig(**knobs)
+                return strategies.RULES[cfg.kind](cfg, None, g, 4, nn.OptimizerState())
+
+            fedavg = strategies.aggregate(g, updates, u, rule())
+            nova = strategies.aggregate(g, updates, u, rule(kind="fednova"))
             assert_allclose(nova, fedavg, rtol=0, atol=1e-12)
 
             # server momentum with beta=0, lr=1
-            mom_cfg = strategies.StrategyConfig(kind="sgdm", beta=0.0, server_lr=1.0)
-            sgdm, _ = strategies.aggregate(
-                g, updates, u, mom_cfg,
-                strategies.init_strategy_state(mom_cfg, None, g, 4),
+            sgdm = strategies.aggregate(
+                g, updates, u, rule(kind="sgdm", beta=0.0, server_lr=1.0)
             )
             assert_array_equal(sgdm, fedavg)
 
@@ -276,12 +266,10 @@ class TestStrategyReductions:
                 spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
             )
             prox_cfg = strategies.StrategyConfig(kind="fedprox", mu=0.0)
+            prox_rule = strategies.FedProx(prox_cfg, spec, params, 1, kwargs["optimizer"])
             prox = simulation.local_train(
                 spec, ds, client, params,
-                hooks=strategies.local_hooks(
-                    prox_cfg, strategies.init_strategy_state(prox_cfg, spec, params, 1),
-                    params, client.client_id,
-                ),
+                hooks=prox_rule.hooks(params, client.client_id),
                 **kwargs,
             )
             assert_array_equal(prox.weights, plain.weights)
@@ -292,7 +280,6 @@ class TestStrategyReductions:
                 train, test = data.train_test_split(ds, 0.25, seed + 1)
                 spec = nn.ModelSpec((6, 8, 3))
                 params = nn.init_model(spec, seed + 2)
-                strategy = strategies.StrategyConfig(kind=kind)
                 shards = np.array_split(np.arange(len(train)), 4)
                 clients = [
                     simulation.ClientState(i, shards[i], 100 + i) for i in range(4)
@@ -300,10 +287,7 @@ class TestStrategyReductions:
                 server = simulation.ServerState(
                     spec=spec,
                     params=params,
-                    strategy=strategy,
-                    strategy_state=strategies.init_strategy_state(
-                        strategy, spec, params, 4
-                    ),
+                    strategy=strategies.StrategyConfig(kind=kind),
                     normalize=False,
                 )
                 return simulation.Federation(
@@ -312,7 +296,7 @@ class TestStrategyReductions:
                 )
 
             fed = federation("fedbabu")
-            head = fed.server.strategy_state.head
+            head = fed.rule.head
             initial_head = fed.server.params[head].copy()
             for _ in range(10):
                 fed.run_round()
@@ -333,11 +317,12 @@ class TestStrategyReductions:
                 spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
             )
             scaffold_cfg = strategies.StrategyConfig(kind="scaffold")
-            state = strategies.init_strategy_state(scaffold_cfg, spec, params, 1)
-            state.c, state.client_c[client.client_id] = np.zeros(size), np.zeros(size)
+            scaffold = strategies.Scaffold(scaffold_cfg, spec, params, 1, kwargs["optimizer"])
+            scaffold.c = np.zeros(size)
+            scaffold.client_c[client.client_id] = np.zeros(size)
             corrected = simulation.local_train(
                 spec, ds, client, params,
-                hooks=strategies.local_hooks(scaffold_cfg, state, params, client.client_id),
+                hooks=scaffold.hooks(params, client.client_id),
                 **kwargs,
             )
             assert corrected.tau == 1

@@ -98,6 +98,12 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: test_fraction must be a finite number")
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_temperature_names_the_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, temperature=1e-320)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "temperature" in err
+
     @pytest.mark.parametrize(
         "raw, flag",
         [

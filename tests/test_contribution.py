@@ -1,5 +1,7 @@
 """Contribution pipeline checks: cosine, similarity matrix, factors, weights."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -166,6 +168,19 @@ class TestContributionFactors:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             co.contribution_factors(np.ones((2, 3)), temperature=1.0)
+
+    def test_overflowing_temperature_is_rejected_without_warnings(self):
+        """Row sums over a subnormal temperature overflow float64: that names
+        the temperature; a finite quotient whose spread overflows still gives
+        saturated factors.  Neither emits a RuntimeWarning."""
+        s = np.ones((3, 3))
+        s[2, :2] = s[:2, 2] = -1.0  # row sums 1, 1, -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="temperature 1e-310"):
+                co.contribution_factors(np.ones((2, 2)), temperature=1e-310)
+            lam = co.contribution_factors(s, temperature=1e-308)
+        assert_array_equal(lam, [0.5, 0.5, 1.0])
 
 
 class TestNormalizeWeights:

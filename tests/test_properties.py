@@ -1,4 +1,5 @@
-"""Property checks: contribution weighting and partitioning over generated inputs.
+"""Property checks: contribution weighting, partitioning and the reductions
+between aggregation rules over generated inputs.
 
 Every test derandomizes hypothesis and keeps no example database, so the
 suite draws the same examples on every run and writes nothing to disk.
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fednorm import contribution as co
-from fednorm import data
+from fednorm import data, nn, strategies
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -97,3 +98,66 @@ class TestPartitioners:
         plan = data.partition_label_split(ds, [blocks[i] for i in picks])
         merged = np.concatenate(plan.assignments)
         assert len(np.unique(merged)) == len(merged)
+
+
+@st.composite
+def update_sets(draw):
+    """A small model, a broadcast vector, 1-6 client updates and weights on the simplex."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))
+    spec = nn.ModelSpec(tuple(widths))
+    size = spec.param_count()
+    clients = draw(st.integers(1, 6))
+    values = st.floats(-10.0, 10.0)
+    weights = draw(arrays(np.float64, (clients, size), elements=values))
+    global_params = draw(arrays(np.float64, size, elements=values))
+    raw = draw(arrays(np.float64, clients, elements=st.floats(0.01, 1.0)))
+    taus = draw(st.lists(st.integers(1, 50), min_size=clients, max_size=clients))
+    updates = [
+        strategies.ClientUpdate(r, weights[r], np.ones(2), 10, taus[r]) for r in range(clients)
+    ]
+    return spec, global_params, updates, raw / raw.sum()
+
+
+def fold(kind, spec, global_params, updates, u, **knobs):
+    """One fresh rule's fold through ``strategies.aggregate``."""
+    cfg = strategies.StrategyConfig(kind=kind, **knobs)
+    optimizer = nn.OptimizerState(kind="sgd", lr=0.1)
+    rule = strategies.RULES[kind](cfg, spec, global_params, len(updates), optimizer)
+    return strategies.aggregate(global_params, updates, u, rule)
+
+
+class TestStrategyReductions:
+    @deterministic
+    @given(case=update_sets())
+    def test_sgdm_without_momentum_is_fedavg_bitwise(self, case):
+        fedavg = fold("fedavg", *case)
+        np.testing.assert_array_equal(fold("sgdm", *case, beta=0.0, server_lr=1.0), fedavg)
+
+    @deterministic
+    @given(case=update_sets(), data_=st.data())
+    def test_fedbabu_averages_the_body_and_keeps_the_head(self, case, data_):
+        spec, global_params = case[:2]
+        layer = data_.draw(st.integers(-spec.num_layers, spec.num_layers - 1))
+        head = spec.layer_span(layer)
+        body = np.ones(len(global_params), dtype=bool)
+        body[head] = False
+        fedavg = fold("fedavg", *case)
+        babu = fold("fedbabu", *case, head_layer=layer)
+        np.testing.assert_array_equal(babu[body], fedavg[body])
+        np.testing.assert_array_equal(babu[head], global_params[head])
+
+    @deterministic
+    @given(case=update_sets(), tau=st.integers(1, 50))
+    def test_fednova_with_equal_steps_is_fedavg(self, case, tau):
+        for up in case[2]:
+            up.tau = tau
+        np.testing.assert_allclose(
+            fold("fednova", *case), fold("fedavg", *case), rtol=0, atol=1e-12
+        )
+
+    @deterministic
+    @given(case=update_sets())
+    def test_scaffold_with_unit_server_rate_is_fedavg(self, case):
+        np.testing.assert_allclose(
+            fold("scaffold", *case, server_lr=1.0), fold("fedavg", *case), rtol=0, atol=1e-12
+        )

@@ -31,12 +31,10 @@ def build_federation(
         seeds = [100 + i for i in range(num_clients)]
     spec = nn.ModelSpec((6, 8, 3))
     params = nn.init_model(spec, seed + 2)
-    strategy = strategies.StrategyConfig(kind=kind)
     server = simulation.ServerState(
         spec=spec,
         params=params,
-        strategy=strategy,
-        strategy_state=strategies.init_strategy_state(strategy, spec, params, num_clients),
+        strategy=strategies.StrategyConfig(kind=kind),
         normalize=normalize,
     )
     clients = [simulation.ClientState(i, shards[i], seeds[i]) for i in range(num_clients)]
@@ -224,11 +222,8 @@ def reference_local_train(spec, ds, client, global_params, *, epochs, batch_size
                 m_hat = m / (1.0 - b1**t)
                 v_hat = v / (1.0 - b2**t)
                 params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
-    cv_delta = None
-    if hooks.scaffold_c is not None:
-        cv_delta = -hooks.scaffold_c + (global_params - params) / (t * lr)
     _, acts = reference_forward(spec, params, x)
-    return params, t, cv_delta, acts[-1].mean(axis=0)
+    return params, t, acts[-1].mean(axis=0)
 
 
 class TestLocalTrainReference:
@@ -260,29 +255,26 @@ class TestLocalTrainReference:
     def test_matches_reference_bitwise(self, strategy, kind, lr, activation):
         ds, spec, params, client = self.setup(activation)
         rng = np.random.default_rng(33)
-        state = strategies.init_strategy_state(strategy, spec, params, client.client_id + 1)
+        optimizer = nn.OptimizerState(kind=kind, lr=lr)
+        rule = strategies.RULES[strategy.kind](
+            strategy, spec, params, client.client_id + 1, optimizer
+        )
         if strategy.kind == "scaffold":
             size = spec.param_count()
-            state.c = rng.normal(scale=0.05, size=size)
-            state.client_c[client.client_id] = rng.normal(scale=0.05, size=size)
-        hooks = strategies.local_hooks(strategy, state, params, client.client_id)
+            rule.c = rng.normal(scale=0.05, size=size)
+            rule.client_c[client.client_id] = rng.normal(scale=0.05, size=size)
+        hooks = rule.hooks(params, client.client_id)
         # two epochs of 100 samples in batches of 16: the last batch has 4 rows
         kwargs = dict(epochs=2, batch_size=16, hooks=hooks, round_index=4)
         broadcast = params.copy()
-        update = simulation.local_train(
-            spec, ds, client, params, optimizer=nn.OptimizerState(kind=kind, lr=lr), **kwargs
-        )
-        weights, tau, cv_delta, z = reference_local_train(
+        update = simulation.local_train(spec, ds, client, params, optimizer=optimizer, **kwargs)
+        weights, tau, z = reference_local_train(
             spec, ds, client, params, kind=kind, lr=lr, **kwargs
         )
         assert_array_equal(params, broadcast)  # the broadcast vector is left as it was
         assert update.tau == tau == 14
         assert_array_equal(update.weights, weights)
         assert_array_equal(update.z, z)
-        if strategy.kind == "scaffold":
-            assert_array_equal(update.cv_delta, cv_delta)
-        else:
-            assert update.cv_delta is None and cv_delta is None
         assert not np.array_equal(update.weights, params)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -382,11 +374,11 @@ class TestRunRound:
         fed = build_federation(
             kind="scaffold", optimizer=nn.OptimizerState(kind="sgd", lr=0.05)
         )
-        assert_array_equal(fed.server.strategy_state.c, 0.0)
+        assert_array_equal(fed.rule.c, 0.0)
         fed.run_round()
-        assert np.any(fed.server.strategy_state.c != 0.0)
+        assert np.any(fed.rule.c != 0.0)
         for client in fed.clients:
-            assert np.any(fed.server.strategy_state.client_c[client.client_id] != 0.0)
+            assert np.any(fed.rule.client_c[client.client_id] != 0.0)
 
 
 class TestDeterminism:
@@ -398,9 +390,13 @@ class TestDeterminism:
         assert_array_equal(a.server.params, b.server.params)
         assert strip_durations(ra) == strip_durations(rb)
 
-    def test_thread_pool_matches_serial_bitwise(self):
-        serial = build_federation(normalize=True, num_clients=6, workers=1, seed=9)
-        pooled = build_federation(normalize=True, num_clients=6, workers=4, seed=9)
+    @pytest.mark.parametrize("kind", strategies.STRATEGY_KINDS)
+    def test_thread_pool_matches_serial_bitwise(self, kind):
+        # scaffold's variate update divides by the local rate of plain sgd
+        optimizer = nn.OptimizerState(kind="sgd", lr=0.05) if kind == "scaffold" else None
+        common = dict(kind=kind, normalize=True, num_clients=6, seed=9, optimizer=optimizer)
+        serial = build_federation(workers=1, **common)
+        pooled = build_federation(workers=4, **common)
         rs = serial.run(3)
         rp = pooled.run(3)
         assert_array_equal(serial.server.params, pooled.server.params)

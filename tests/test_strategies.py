@@ -7,14 +7,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 from fednorm import data, nn, simulation, strategies
 
 
-def make_update(client_id, weights, n=10, tau=4, z=None, cv_delta=None):
+def make_update(client_id, weights, n=10, tau=4, z=None):
     return strategies.ClientUpdate(
         client_id=client_id,
         weights=np.asarray(weights, dtype=np.float64),
         z=np.ones(3) if z is None else z,
         n=n,
         tau=tau,
-        cv_delta=cv_delta,
     )
 
 
@@ -69,22 +68,36 @@ class TestImportance:
             strategies.importance([make_update(0, np.ones(2), n=0)])
 
 
+def fresh_rule(cfg, spec, params, num_clients=4, optimizer=None):
+    """The rule for ``cfg``; local sgd unless ``optimizer`` says otherwise."""
+    optimizer = optimizer or nn.OptimizerState(kind="sgd", lr=0.1)
+    return strategies.RULES[cfg.kind](cfg, spec, params, num_clients, optimizer)
+
+
+class TestRuleTable:
+    def test_kinds_are_the_table_keys_in_order(self):
+        assert strategies.STRATEGY_KINDS == (
+            "fedavg", "fedprox", "scaffold", "sgdm", "fednova", "fedbabu"
+        )
+        assert tuple(strategies.RULES) == strategies.STRATEGY_KINDS
+        for rule in strategies.RULES.values():
+            assert issubclass(rule, strategies.FedAvg)
+
+
 class TestLocalHooks:
     def test_fedavg_hooks_are_identity(self):
         spec = nn.ModelSpec((3, 4, 2))
         cfg = strategies.StrategyConfig()
         params = np.zeros(spec.param_count())
-        state = strategies.init_strategy_state(cfg, spec, params, 1)
-        hooks = strategies.local_hooks(cfg, state, params, 0)
+        hooks = fresh_rule(cfg, spec, params, 1).hooks(params, 0)
         assert hooks.prox is None and hooks.grad_correction is None
-        assert hooks.freeze is None and hooks.scaffold_c is None
+        assert hooks.freeze is None
 
     def test_fedprox_anchor_is_broadcast(self):
         spec = nn.ModelSpec((3, 4, 2))
         anchor = np.arange(spec.param_count(), dtype=np.float64)
         cfg = strategies.StrategyConfig(kind="fedprox", mu=0.2)
-        state = strategies.init_strategy_state(cfg, spec, anchor, 1)
-        hooks = strategies.local_hooks(cfg, state, anchor, 0)
+        hooks = fresh_rule(cfg, spec, anchor, 1).hooks(anchor, 0)
         mu, got = hooks.prox
         assert mu == 0.2
         assert got is anchor
@@ -95,18 +108,16 @@ class TestLocalHooks:
         c_i = np.full(spec.param_count(), 0.2)
         cfg = strategies.StrategyConfig(kind="scaffold")
         params = np.zeros(spec.param_count())
-        state = strategies.init_strategy_state(cfg, spec, params, 1)
-        state.c, state.client_c[0] = c, c_i
-        hooks = strategies.local_hooks(cfg, state, params, 0)
+        rule = fresh_rule(cfg, spec, params, 1)
+        rule.c, rule.client_c[0] = c, c_i
+        hooks = rule.hooks(params, 0)
         assert_array_equal(hooks.grad_correction, c - c_i)
-        assert hooks.scaffold_c is c
 
     def test_fedbabu_freezes_output_layer(self):
         spec = nn.ModelSpec((3, 4, 2))
         cfg = strategies.StrategyConfig(kind="fedbabu")
         params = np.zeros(spec.param_count())
-        state = strategies.init_strategy_state(cfg, spec, params, 1)
-        hooks = strategies.local_hooks(cfg, state, params, 0)
+        hooks = fresh_rule(cfg, spec, params, 1).hooks(params, 0)
         assert hooks.freeze == spec.layer_span(spec.num_layers - 1)
 
 
@@ -118,11 +129,9 @@ class TestTrainingReductions:
             spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
         )
         cfg = strategies.StrategyConfig(kind="fedprox", mu=0.0)
-        state = strategies.init_strategy_state(cfg, spec, params, client.client_id + 1)
+        rule = fresh_rule(cfg, spec, params, client.client_id + 1)
         prox = simulation.local_train(
-            spec, ds, client, params,
-            hooks=strategies.local_hooks(cfg, state, params, client.client_id),
-            **kwargs,
+            spec, ds, client, params, hooks=rule.hooks(params, client.client_id), **kwargs
         )
         assert_array_equal(plain.weights, prox.weights)
         assert_array_equal(plain.z, prox.z)
@@ -138,29 +147,28 @@ class TestTrainingReductions:
             spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
         )
         cfg = strategies.StrategyConfig(kind="scaffold")
-        state = strategies.init_strategy_state(cfg, spec, params, client.client_id + 1)
-        state.c, state.client_c[client.client_id] = np.zeros(size), np.zeros(size)
+        rule = fresh_rule(cfg, spec, params, client.client_id + 1, kwargs["optimizer"])
+        rule.c, rule.client_c[client.client_id] = np.zeros(size), np.zeros(size)
         corrected = simulation.local_train(
-            spec, ds, client, params,
-            hooks=strategies.local_hooks(cfg, state, params, client.client_id),
-            **kwargs,
+            spec, ds, client, params, hooks=rule.hooks(params, client.client_id), **kwargs
         )
         assert corrected.tau == 1  # single batch, one local step
         assert_allclose(corrected.weights, plain.weights, rtol=0, atol=1e-12)
-        # zero server variate makes the reported delta the scaled drift itself
+        # zero server variate makes the client's delta the scaled drift itself
+        strategies.aggregate(params, [corrected], np.array([1.0]), rule)
         assert_allclose(
-            corrected.cv_delta, (params - corrected.weights) / 0.1, rtol=1e-12
+            rule.client_c[client.client_id], (params - corrected.weights) / 0.1, rtol=1e-12
         )
 
     def test_fedbabu_head_stays_at_broadcast(self):
         ds, spec, params, client = training_setup()
         head = spec.layer_span(spec.num_layers - 1)
         cfg = strategies.StrategyConfig(kind="fedbabu")
-        state = strategies.init_strategy_state(cfg, spec, params, client.client_id + 1)
+        rule = fresh_rule(cfg, spec, params, client.client_id + 1)
         update = simulation.local_train(
             spec, ds, client, params,
             epochs=3, batch_size=8, optimizer=nn.OptimizerState(),
-            hooks=strategies.local_hooks(cfg, state, params, client.client_id),
+            hooks=rule.hooks(params, client.client_id),
             round_index=0,
         )
         assert_array_equal(update.weights[head], params[head])
@@ -168,16 +176,12 @@ class TestTrainingReductions:
         assert not np.array_equal(update.weights[body], params[body])
 
 
-def fresh_state(cfg, spec, params, num_clients=4):
-    return strategies.init_strategy_state(cfg, spec, params, num_clients)
-
-
 class TestAggregate:
     def test_fedavg_two_client_mean(self):
         cfg = strategies.StrategyConfig()
         updates = [make_update(0, [1.0, 3.0]), make_update(1, [3.0, 1.0])]
-        new, _ = strategies.aggregate(
-            np.zeros(2), updates, np.array([0.5, 0.5]), cfg, fresh_state(cfg, None, np.zeros(2))
+        new = strategies.aggregate(
+            np.zeros(2), updates, np.array([0.5, 0.5]), fresh_rule(cfg, None, np.zeros(2))
         )
         assert_array_equal(new, [2.0, 2.0])
 
@@ -187,8 +191,8 @@ class TestAggregate:
         for _ in range(20):
             updates = random_updates(rng, 5, 12)
             u = rng.dirichlet(np.ones(5))
-            new, _ = strategies.aggregate(
-                np.zeros(12), updates, u, cfg, fresh_state(cfg, None, np.zeros(12))
+            new = strategies.aggregate(
+                np.zeros(12), updates, u, fresh_rule(cfg, None, np.zeros(12))
             )
             stacked = np.stack([up.weights for up in updates])
             assert np.all(new >= stacked.min(axis=0) - 1e-12)
@@ -202,11 +206,11 @@ class TestAggregate:
             global_params = rng.normal(size=9)
             avg_cfg = strategies.StrategyConfig()
             mom_cfg = strategies.StrategyConfig(kind="sgdm", beta=0.0, server_lr=1.0)
-            fedavg, _ = strategies.aggregate(
-                global_params, updates, u, avg_cfg, fresh_state(avg_cfg, None, global_params)
+            fedavg = strategies.aggregate(
+                global_params, updates, u, fresh_rule(avg_cfg, None, global_params)
             )
-            sgdm, _ = strategies.aggregate(
-                global_params, updates, u, mom_cfg, fresh_state(mom_cfg, None, global_params)
+            sgdm = strategies.aggregate(
+                global_params, updates, u, fresh_rule(mom_cfg, None, global_params)
             )
             assert_array_equal(sgdm, fedavg)
 
@@ -215,12 +219,12 @@ class TestAggregate:
         beta, lr = 0.7, 0.5
         cfg = strategies.StrategyConfig(kind="sgdm", beta=beta, server_lr=lr)
         global_params = rng.normal(size=6)
-        state = fresh_state(cfg, None, global_params)
+        rule = fresh_rule(cfg, None, global_params)
         momentum = np.zeros(6)
         for _ in range(3):
             updates = random_updates(rng, 3, 6)
             u = rng.dirichlet(np.ones(3))
-            new, state = strategies.aggregate(global_params, updates, u, cfg, state)
+            new = strategies.aggregate(global_params, updates, u, rule)
             avg = sum(w * up.weights for w, up in zip(u, updates))
             momentum = beta * momentum + (global_params - avg)
             assert_allclose(new, global_params - lr * momentum, rtol=1e-12, atol=1e-14)
@@ -234,11 +238,11 @@ class TestAggregate:
             global_params = rng.normal(size=9)
             avg_cfg = strategies.StrategyConfig()
             nova_cfg = strategies.StrategyConfig(kind="fednova")
-            fedavg, _ = strategies.aggregate(
-                global_params, updates, u, avg_cfg, fresh_state(avg_cfg, None, global_params)
+            fedavg = strategies.aggregate(
+                global_params, updates, u, fresh_rule(avg_cfg, None, global_params)
             )
-            nova, _ = strategies.aggregate(
-                global_params, updates, u, nova_cfg, fresh_state(nova_cfg, None, global_params)
+            nova = strategies.aggregate(
+                global_params, updates, u, fresh_rule(nova_cfg, None, global_params)
             )
             assert_allclose(nova, fedavg, rtol=0, atol=1e-12)
 
@@ -250,62 +254,59 @@ class TestAggregate:
             make_update(1, [2.0, 0.0], tau=8),
         ]
         u = np.array([0.5, 0.5])
-        new, _ = strategies.aggregate(
-            global_params, updates, u, cfg, fresh_state(cfg, None, global_params)
+        new = strategies.aggregate(
+            global_params, updates, u, fresh_rule(cfg, None, global_params)
         )
         # tau_eff = 5; d = 0.5*([1,2]/2) + 0.5*([-1,2]/8) = [0.1875, 0.625]
         assert_allclose(new, global_params - 5.0 * np.array([0.1875, 0.625]), rtol=1e-15)
 
     def test_scaffold_update_and_variate_recurrence(self):
         cfg = strategies.StrategyConfig(kind="scaffold", server_lr=0.8)
+        lr = 0.05
         global_params = np.array([1.0, -1.0, 0.5])
-        state = fresh_state(cfg, None, global_params, num_clients=4)
+        rule = fresh_rule(cfg, None, global_params, 4, nn.OptimizerState(kind="sgd", lr=lr))
+        c = np.array([0.2, -0.1, 0.05])
+        client_c = {0: np.array([0.1, 0.0, -0.1]), 2: np.array([-0.3, 0.2, 0.1])}
+        rule.c = c
+        rule.client_c.update(client_c)
         updates = [
-            make_update(0, [0.5, -1.0, 0.0], tau=2, cv_delta=np.array([0.1, 0.0, -0.1])),
-            make_update(2, [1.0, 0.0, 1.0], tau=3, cv_delta=np.array([-0.3, 0.2, 0.1])),
+            make_update(0, [0.5, -1.0, 0.0], tau=2),
+            make_update(2, [1.0, 0.0, 1.0], tau=3),
         ]
         u = np.array([0.25, 0.75])
-        new, state = strategies.aggregate(global_params, updates, u, cfg, state)
+        new = strategies.aggregate(global_params, updates, u, rule)
         drift = 0.25 * (global_params - updates[0].weights) + 0.75 * (
             global_params - updates[1].weights
         )
         assert_allclose(new, global_params - 0.8 * drift, rtol=1e-15)
-        expected_c = (2 / 4) * (updates[0].cv_delta + updates[1].cv_delta) / 2
-        assert_allclose(state.c, expected_c, rtol=1e-15)
-        assert_array_equal(state.client_c[0], updates[0].cv_delta)
-        assert_array_equal(state.client_c[2], updates[1].cv_delta)
-        assert_array_equal(state.client_c[1], 0.0)
-
-    def test_scaffold_requires_variate_deltas(self):
-        cfg = strategies.StrategyConfig(kind="scaffold")
-        updates = [make_update(0, [1.0, 1.0]), make_update(1, [0.0, 0.0])]
-        with pytest.raises(ValueError, match="variate"):
-            strategies.aggregate(
-                np.zeros(2), updates, np.array([0.5, 0.5]), cfg,
-                fresh_state(cfg, None, np.zeros(2)),
-            )
+        # option II: each client's delta from the broadcast, its weights and tau
+        deltas = [-c + (global_params - up.weights) / (up.tau * lr) for up in updates]
+        assert_array_equal(rule.c, c + (2 / 4) * np.mean(deltas, axis=0))
+        assert_array_equal(rule.client_c[0], client_c[0] + deltas[0])
+        assert_array_equal(rule.client_c[2], client_c[2] + deltas[1])
+        assert_array_equal(rule.client_c[1], 0.0)
 
     def test_fedbabu_restores_frozen_head(self):
         spec = nn.ModelSpec((3, 4, 2))
         cfg = strategies.StrategyConfig(kind="fedbabu")
         initial = nn.init_model(spec, 21)
-        state = strategies.init_strategy_state(cfg, spec, initial, num_clients=3)
+        rule = fresh_rule(cfg, spec, initial, num_clients=3)
         rng = np.random.default_rng(22)
         current = initial
         for _ in range(4):
             updates = random_updates(rng, 3, spec.param_count())
             for up in updates:  # clients never move the head
-                up.weights[state.head] = current[state.head]
+                up.weights[rule.head] = current[rule.head]
             u = rng.dirichlet(np.ones(3))
-            current, state = strategies.aggregate(current, updates, u, cfg, state)
-            assert_array_equal(current[state.head], initial[state.head])
+            current = strategies.aggregate(current, updates, u, rule)
+            assert_array_equal(current[rule.head], initial[rule.head])
 
     def test_rejects_weight_mismatch(self):
         cfg = strategies.StrategyConfig()
         updates = [make_update(0, [1.0, 2.0, 3.0])]
         with pytest.raises(ValueError, match="shape"):
             strategies.aggregate(
-                np.zeros(2), updates, np.array([1.0]), cfg, fresh_state(cfg, None, np.zeros(2))
+                np.zeros(2), updates, np.array([1.0]), fresh_rule(cfg, None, np.zeros(2))
             )
 
     def test_rejects_unnormalized_weights(self):
@@ -313,8 +314,7 @@ class TestAggregate:
         updates = [make_update(0, [1.0, 2.0]), make_update(1, [0.0, 0.0])]
         with pytest.raises(ValueError, match="sum to 1"):
             strategies.aggregate(
-                np.zeros(2), updates, np.array([0.9, 0.4]), cfg,
-                fresh_state(cfg, None, np.zeros(2)),
+                np.zeros(2), updates, np.array([0.9, 0.4]), fresh_rule(cfg, None, np.zeros(2))
             )
 
     def test_rejects_non_finite_result(self):
@@ -322,8 +322,7 @@ class TestAggregate:
         updates = [make_update(0, [np.inf, 1.0]), make_update(1, [0.0, 0.0])]
         with pytest.raises(nn.TrainingDiverged):
             strategies.aggregate(
-                np.zeros(2), updates, np.array([0.5, 0.5]), cfg,
-                fresh_state(cfg, None, np.zeros(2)),
+                np.zeros(2), updates, np.array([0.5, 0.5]), fresh_rule(cfg, None, np.zeros(2))
             )
 
 
@@ -341,10 +340,7 @@ class TestNormalizationComposability:
         for kind in strategies.STRATEGY_KINDS:
             cfg = strategies.StrategyConfig(kind=kind)
             updates = [
-                make_update(
-                    i, rng.normal(size=size), n=20, tau=4, z=z,
-                    cv_delta=np.zeros(size) if kind == "scaffold" else None,
-                )
+                make_update(i, rng.normal(size=size), n=20, tau=4, z=z)
                 for i in range(4)
             ]
             if kind == "fedbabu":
@@ -356,10 +352,10 @@ class TestNormalizationComposability:
             lam = co.contribution_factors(co.similarity_matrix(latents), 0.5)
             u = co.normalize_weights(lam, nu)
             assert_array_equal(u, nu)
-            plain, _ = strategies.aggregate(
-                global_params, updates, nu, cfg, fresh_state(cfg, spec, global_params)
+            plain = strategies.aggregate(
+                global_params, updates, nu, fresh_rule(cfg, spec, global_params)
             )
-            normalized, _ = strategies.aggregate(
-                global_params, updates, u, cfg, fresh_state(cfg, spec, global_params)
+            normalized = strategies.aggregate(
+                global_params, updates, u, fresh_rule(cfg, spec, global_params)
             )
             assert_array_equal(normalized, plain)
