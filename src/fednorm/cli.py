@@ -115,8 +115,11 @@ def _read_round_summaries(run_dir) -> list[tuple[int, float, float]]:
         if header != CSV_HEADER:
             raise ConfigError(f"{path}: metrics schema mismatch, header {header}")
         for row in reader:
-            if int(row[3]) == -1:
-                rows.append((int(row[0]), float(row[1]), float(row[2])))
+            try:
+                if int(row[3]) == -1:
+                    rows.append((int(row[0]), float(row[1]), float(row[2])))
+            except (IndexError, ValueError):
+                raise ConfigError(f"{path}: line {reader.line_num}: malformed row {row}") from None
     if not rows:
         raise ConfigError(f"{path}: contains no summary rows")
     rows.sort()

@@ -19,6 +19,8 @@ import numpy as np
 
 _ACTIVATIONS = ("relu", "tanh")
 _OPTIMIZERS = ("sgd", "adam")
+# adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -185,12 +187,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(logz - picked))
 
 
-def loss_and_grad(spec, params, x, y, prox=None, *, out=None):
+def loss_and_grad(spec, params, x, y, *, out=None):
     """Mean softmax cross-entropy and its exact gradient in layout order.
-
-    ``prox`` is an optional ``(mu, anchor)`` pair adding the proximal penalty
-    (mu/2)*||params - anchor||^2 to loss and gradient.  ``mu == 0`` leaves the
-    computation untouched so the result is bit-identical to ``prox=None``.
 
     ``out`` is an optional float64 buffer shaped like ``params`` that receives
     the gradient, so a training loop can reuse one buffer for every step; the
@@ -236,16 +234,6 @@ def loss_and_grad(spec, params, x, y, prox=None, *, out=None):
             delta = delta @ params[w_sl].reshape(shapes[l]).T
             delta *= _activation_grad(acts[l], spec.activation)
 
-    if prox is not None:
-        mu, anchor = prox
-        if mu < 0:
-            raise ValueError(f"proximal mu must be non-negative, got {mu}")
-        if mu > 0:
-            diff = params - anchor
-            loss += 0.5 * mu * float(diff @ diff)
-            diff *= mu
-            grad += diff
-
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss}")
     return loss, grad
@@ -262,9 +250,6 @@ class OptimizerState:
 
     kind: str = "adam"
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     step: int = 0
@@ -304,17 +289,17 @@ def optimizer_step(params, grad, state: OptimizerState):
         if state.v is None:
             state.v = np.zeros_like(params)
         m, v, denom = state.m, state.v, state.scratch[1]
-        m *= state.beta1
-        np.multiply(grad, 1.0 - state.beta1, out=denom)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=denom)
         m += denom
-        v *= state.beta2
-        np.multiply(grad, 1.0 - state.beta2, out=denom)
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=denom)
         denom *= grad
         v += denom
-        np.divide(v, 1.0 - state.beta2**t, out=denom)
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
-        np.divide(m, 1.0 - state.beta1**t, out=update)
+        denom += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=update)
         update *= state.lr
         update /= denom
     params -= update

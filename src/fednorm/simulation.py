@@ -8,7 +8,6 @@ changing results, and toggling normalization cannot perturb the training path.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -75,13 +74,14 @@ def local_train(
     epochs: int,
     batch_size: int,
     optimizer: nn.OptimizerState,
-    hooks: strategies.LocalHooks,
     round_index: int,
+    adjust: strategies.Adjust | None = None,
 ) -> strategies.ClientUpdate:
     """Run one client's local epochs and package its update.
 
     Epochs iterate the full shard in shuffled minibatches; the shuffle depends
-    only on (client seed, round).  The mean latent is taken over the whole
+    only on (client seed, round).  ``adjust``, the rule's hook, edits every
+    minibatch gradient in place.  The mean latent is taken over the whole
     shard once, after the final epoch.
     """
     if epochs < 1:
@@ -102,14 +102,13 @@ def local_train(
     steps = 0
     for _ in range(epochs):
         order = rng.permutation(n)
+        x_epoch, y_epoch = x[order], y[order]
         for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
+            stop = start + batch_size
             try:
-                nn.loss_and_grad(spec, params, x[batch], y[batch], prox=hooks.prox, out=grad)
-                if hooks.grad_correction is not None:
-                    grad += hooks.grad_correction
-                if hooks.freeze is not None:
-                    grad[hooks.freeze] = 0.0
+                nn.loss_and_grad(spec, params, x_epoch[start:stop], y_epoch[start:stop], out=grad)
+                if adjust is not None:
+                    adjust(params, grad)
                 params, opt = nn.optimizer_step(params, grad, opt)
             except nn.TrainingDiverged as exc:
                 raise nn.TrainingDiverged(
@@ -154,7 +153,8 @@ class Federation:
 
     def _sample_participants(self, round_index: int) -> list[ClientState]:
         total = len(self.clients)
-        k = math.ceil(self.participation * total)
+        # fewest clients whose share reaches it; a ceil oversamples (0.07 * 100 > 7)
+        k = next(k for k in range(1, total + 1) if k / total >= self.participation)
         rng = np.random.default_rng([self.seed, round_index])
         chosen = np.sort(rng.choice(total, size=k, replace=False))
         return [self.clients[i] for i in chosen]
@@ -169,8 +169,8 @@ class Federation:
             epochs=self.epochs,
             batch_size=self.batch_size,
             optimizer=self.optimizer,
-            hooks=self.rule.hooks(server.params, client.client_id),
             round_index=server.round_index,
+            adjust=self.rule.hooks(server.params, client.client_id),
         )
 
     def run_round(self) -> RoundReport:

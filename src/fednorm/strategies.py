@@ -1,4 +1,4 @@
-"""Server-side aggregation strategies and the local hooks they require.
+"""Server-side aggregation strategies and the gradient hooks they require.
 
 Six rules share one interface: plain weighted averaging, a proximal variant,
 control-variate correction, server momentum, step-count normalization and a
@@ -8,11 +8,15 @@ weights, so contribution normalization composes with any of them.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
+
+# a rule's local-training hook: edits a minibatch gradient in place, given the params
+Adjust = Callable[[np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -49,20 +53,6 @@ class ClientUpdate:
     z: np.ndarray
     n: int
     tau: int
-
-
-@dataclass
-class LocalHooks:
-    """Strategy-specific adjustments applied during local training.
-
-    ``prox`` is a (mu, anchor) penalty; ``grad_correction`` is added to every
-    minibatch gradient; ``freeze`` marks parameter entries whose gradient is
-    zeroed.
-    """
-
-    prox: tuple[float, np.ndarray] | None = None
-    grad_correction: np.ndarray | None = None
-    freeze: slice | None = None
 
 
 def importance(updates: list[ClientUpdate]) -> np.ndarray:
@@ -108,8 +98,8 @@ class FedAvg:
                  num_clients: int, optimizer: nn.OptimizerState):
         self.cfg = cfg
 
-    def hooks(self, global_params: np.ndarray, client_id: int) -> LocalHooks:
-        return LocalHooks()
+    def hooks(self, global_params: np.ndarray, client_id: int) -> Adjust | None:
+        return None
 
     def fold(self, global_params: np.ndarray, updates: list[ClientUpdate],
              u: np.ndarray) -> np.ndarray:
@@ -123,7 +113,17 @@ class FedProx(FedAvg):
     """Weighted averaging of clients trained with a proximal pull to the broadcast."""
 
     def hooks(self, global_params, client_id):
-        return LocalHooks(prox=(self.cfg.mu, global_params))
+        mu = self.cfg.mu
+        if mu == 0:
+            return None
+        diff = np.empty_like(global_params)
+
+        def adjust(params, grad):
+            np.subtract(params, global_params, out=diff)
+            np.multiply(diff, mu, out=diff)
+            grad += diff
+
+        return adjust
 
 
 class Scaffold(FedAvg):
@@ -142,7 +142,12 @@ class Scaffold(FedAvg):
         self.client_c = {r: np.zeros(len(params)) for r in range(num_clients)}
 
     def hooks(self, global_params, client_id):
-        return LocalHooks(grad_correction=self.c - self.client_c[client_id])
+        correction = self.c - self.client_c[client_id]
+
+        def adjust(params, grad):
+            grad += correction
+
+        return adjust
 
     def fold(self, global_params, updates, u):
         drift = np.zeros_like(global_params)
@@ -202,7 +207,10 @@ class FedBABU(FedAvg):
         self.head = spec.layer_span(cfg.head_layer)
 
     def hooks(self, global_params, client_id):
-        return LocalHooks(freeze=self.head)
+        def adjust(params, grad):
+            grad[self.head] = 0.0
+
+        return adjust
 
     def fold(self, global_params, updates, u):
         new = super().fold(global_params, updates, u)

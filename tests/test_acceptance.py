@@ -263,13 +263,13 @@ class TestStrategyReductions:
                 epochs=2, batch_size=16, optimizer=nn.OptimizerState(), round_index=0
             )
             plain = simulation.local_train(
-                spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
+                spec, ds, client, params, **kwargs
             )
             prox_cfg = strategies.StrategyConfig(kind="fedprox", mu=0.0)
             prox_rule = strategies.FedProx(prox_cfg, spec, params, 1, kwargs["optimizer"])
             prox = simulation.local_train(
                 spec, ds, client, params,
-                hooks=prox_rule.hooks(params, client.client_id),
+                adjust=prox_rule.hooks(params, client.client_id),
                 **kwargs,
             )
             assert_array_equal(prox.weights, plain.weights)
@@ -314,7 +314,7 @@ class TestStrategyReductions:
                 round_index=0,
             )
             plain = simulation.local_train(
-                spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
+                spec, ds, client, params, **kwargs
             )
             scaffold_cfg = strategies.StrategyConfig(kind="scaffold")
             scaffold = strategies.Scaffold(scaffold_cfg, spec, params, 1, kwargs["optimizer"])
@@ -322,7 +322,7 @@ class TestStrategyReductions:
             scaffold.client_c[client.client_id] = np.zeros(size)
             corrected = simulation.local_train(
                 spec, ds, client, params,
-                hooks=scaffold.hooks(params, client.client_id),
+                adjust=scaffold.hooks(params, client.client_id),
                 **kwargs,
             )
             assert corrected.tau == 1

@@ -168,3 +168,18 @@ class TestCompareCommand:
         (bogus / "metrics.csv").write_text("round,accuracy\n0,0.5\n")
         assert cli.main(["compare", str(tmp_path / "a"), str(bogus)]) == 1
         assert "schema mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "last_line", ["1,0.6", "1,,0.5,-1,,,,,12.5"], ids=["cut-off", "empty-field"]
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, capsys, last_line):
+        """A killed run leaves a cut-off last row; an empty numeric field is
+        as unreadable.  Both exit 1 with an error naming the file and line."""
+        self.run_pair(tmp_path)
+        metrics = tmp_path / "b" / "metrics.csv"
+        lines = metrics.read_text().splitlines()
+        metrics.write_text("\n".join(lines[:5] + [last_line]) + "\n")
+        assert cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{metrics}: line 6:" in err

@@ -11,12 +11,12 @@ def small_spec():
     return nn.ModelSpec((3, 5, 2))
 
 
-def loss_only(spec, params, x, y, prox=None):
-    value, _ = nn.loss_and_grad(spec, params, x, y, prox=prox)
+def loss_only(spec, params, x, y):
+    value, _ = nn.loss_and_grad(spec, params, x, y)
     return value
 
 
-def numerical_grad(spec, params, x, y, prox=None, h=1e-6):
+def numerical_grad(spec, params, x, y, h=1e-6):
     """Central finite differences of the loss, coordinate by coordinate."""
     grad = np.zeros_like(params)
     for i in range(len(params)):
@@ -24,7 +24,7 @@ def numerical_grad(spec, params, x, y, prox=None, h=1e-6):
         up[i] += h
         down = params.copy()
         down[i] -= h
-        grad[i] = (loss_only(spec, up, x, y, prox) - loss_only(spec, down, x, y, prox)) / (2 * h)
+        grad[i] = (loss_only(spec, up, x, y) - loss_only(spec, down, x, y)) / (2 * h)
     return grad
 
 
@@ -174,17 +174,6 @@ class TestLossAndGrad:
             _, grad = nn.loss_and_grad(spec, params, x, y)
             assert relative_error(grad, numerical_grad(spec, params, x, y)) < 1e-5
 
-    def test_gradient_with_prox_matches_finite_differences(self):
-        spec = small_spec()
-        rng = np.random.default_rng(4)
-        params = rng.normal(scale=0.5, size=spec.param_count())
-        anchor = rng.normal(scale=0.5, size=spec.param_count())
-        x = rng.normal(size=(4, 3))
-        y = rng.integers(0, 2, size=4)
-        _, grad = nn.loss_and_grad(spec, params, x, y, prox=(0.3, anchor))
-        numeric = numerical_grad(spec, params, x, y, prox=(0.3, anchor))
-        assert relative_error(grad, numeric) < 1e-5
-
     def test_gradient_matches_with_tanh(self):
         spec = nn.ModelSpec((3, 5, 2), activation="tanh")
         rng = np.random.default_rng(5)
@@ -194,44 +183,15 @@ class TestLossAndGrad:
         _, grad = nn.loss_and_grad(spec, params, x, y)
         assert relative_error(grad, numerical_grad(spec, params, x, y)) < 1e-5
 
-    def test_prox_mu_zero_is_bitwise_plain(self):
-        spec = small_spec()
-        rng = np.random.default_rng(6)
-        params = rng.normal(size=spec.param_count())
-        anchor = rng.normal(size=spec.param_count())
-        x = rng.normal(size=(5, 3))
-        y = rng.integers(0, 2, size=5)
-        plain_loss, plain_grad = nn.loss_and_grad(spec, params, x, y)
-        prox_loss, prox_grad = nn.loss_and_grad(spec, params, x, y, prox=(0.0, anchor))
-        assert plain_loss == prox_loss
-        assert_array_equal(plain_grad, prox_grad)
-
-    def test_prox_penalty_value(self):
-        spec = small_spec()
-        rng = np.random.default_rng(7)
-        params = rng.normal(size=spec.param_count())
-        anchor = params + 0.1
-        x = rng.normal(size=(4, 3))
-        y = rng.integers(0, 2, size=4)
-        mu = 2.0
-        diff = params - anchor
-        expected_extra = 0.5 * mu * float(diff @ diff)
-        assert_allclose(
-            loss_only(spec, params, x, y, prox=(mu, anchor)) - loss_only(spec, params, x, y),
-            expected_extra,
-            rtol=1e-12,
-        )
-
     def test_out_buffer_receives_the_gradient(self):
         spec = nn.ModelSpec((3, 5, 4, 2), activation="tanh")
         rng = np.random.default_rng(8)
         params = rng.normal(size=spec.param_count())
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 2, size=6)
-        prox = (0.3, rng.normal(size=spec.param_count()))
-        loss, grad = nn.loss_and_grad(spec, params, x, y, prox=prox)
+        loss, grad = nn.loss_and_grad(spec, params, x, y)
         buffer = np.full(spec.param_count(), np.nan)
-        out_loss, out_grad = nn.loss_and_grad(spec, params, x, y, prox=prox, out=buffer)
+        out_loss, out_grad = nn.loss_and_grad(spec, params, x, y, out=buffer)
         assert out_grad is buffer
         assert out_loss == loss
         assert_array_equal(buffer, grad)

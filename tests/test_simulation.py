@@ -82,13 +82,13 @@ class TestLocalTrain:
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
                 epochs=0, batch_size=8, optimizer=opt,
-                hooks=strategies.LocalHooks(), round_index=0,
+                round_index=0,
             )
         with pytest.raises(ValueError, match="batch_size"):
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
                 epochs=1, batch_size=0, optimizer=opt,
-                hooks=strategies.LocalHooks(), round_index=0,
+                round_index=0,
             )
 
     def test_step_count_covers_partial_batches(self):
@@ -98,7 +98,7 @@ class TestLocalTrain:
         update = simulation.local_train(
             spec, ds, client, nn.init_model(spec, 2),
             epochs=2, batch_size=64, optimizer=nn.OptimizerState(),
-            hooks=strategies.LocalHooks(), round_index=0,
+            round_index=0,
         )
         assert update.tau == 4  # ceil(100/64) batches per epoch, twice
         assert update.n == 100
@@ -110,7 +110,7 @@ class TestLocalTrain:
         update = simulation.local_train(
             spec, ds, client, nn.init_model(spec, 2),
             epochs=2, batch_size=16, optimizer=nn.OptimizerState(),
-            hooks=strategies.LocalHooks(), round_index=0,
+            round_index=0,
         )
         expected = nn.mean_latent(spec, update.weights, ds.features[client.indices])
         assert_array_equal(update.z, expected)
@@ -125,7 +125,7 @@ class TestLocalTrain:
             update = simulation.local_train(
                 spec, ds, client, params,
                 epochs=1, batch_size=8, optimizer=nn.OptimizerState(),
-                hooks=strategies.LocalHooks(), round_index=round_index,
+                round_index=round_index,
             )
             runs.setdefault(round_index, []).append(update.weights)
         assert_array_equal(runs[0][0], runs[0][1])
@@ -139,15 +139,16 @@ class TestLocalTrain:
         ds = data.generate_synthetic(2, 3, 20, 3.0, seed=0)
         client = simulation.ClientState(7, np.arange(40), seed=1)
         spec = nn.ModelSpec((3, 4, 2))
-        hooks = strategies.LocalHooks(
-            grad_correction=np.full(spec.param_count(), 1e200)
-        )
+
+        def adjust(params, grad):
+            grad += 1e200
+
         with pytest.raises(nn.TrainingDiverged, match=r"client 7 diverged at local step \d+"):
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
                 epochs=4, batch_size=40,
                 optimizer=nn.OptimizerState(kind="sgd", lr=1.0),
-                hooks=hooks, round_index=0,
+                round_index=0, adjust=adjust,
             )
 
 
@@ -162,7 +163,7 @@ def reference_forward(spec, params, x):
         acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z))
 
 
-def reference_loss_and_grad(spec, params, x, y, prox):
+def reference_loss_and_grad(spec, params, x, y):
     """The allocating formulas: the loss and the softmax each shift and
     exponentiate the logits themselves, and every product is a new array."""
     logits, acts = reference_forward(spec, params, x)
@@ -184,18 +185,15 @@ def reference_loss_and_grad(spec, params, x, y, prox):
             a = acts[l]
             deriv = (a > 0.0).astype(np.float64) if spec.activation == "relu" else 1.0 - a * a
             delta = (delta @ params[w_sl].reshape(spec.layer_shapes()[l]).T) * deriv
-    if prox is not None and prox[0] > 0:
-        mu, anchor = prox
-        diff = params - anchor
-        loss += 0.5 * mu * float(diff @ diff)
-        grad += mu * diff
     return loss, grad
 
 
 def reference_local_train(spec, ds, client, global_params, *, epochs, batch_size,
-                          kind, lr, hooks, round_index):
+                          kind, lr, round_index, mu=0.0, correction=None, freeze=None):
     """Local training with the functional sgd/adam update: new params, new
-    moments and a new gradient on every step."""
+    moments and a new gradient on every step.  ``mu`` adds the proximal pull
+    to ``global_params``, ``correction`` is added to every gradient and the
+    ``freeze`` span of it is zeroed."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     x = ds.features[client.indices]
     y = ds.labels[client.indices]
@@ -208,11 +206,13 @@ def reference_local_train(spec, ds, client, global_params, *, epochs, batch_size
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            _, grad = reference_loss_and_grad(spec, params, x[batch], y[batch], hooks.prox)
-            if hooks.grad_correction is not None:
-                grad = grad + hooks.grad_correction
-            if hooks.freeze is not None:
-                grad[hooks.freeze] = 0.0
+            _, grad = reference_loss_and_grad(spec, params, x[batch], y[batch])
+            if mu > 0:
+                grad = grad + mu * (params - global_params)
+            if correction is not None:
+                grad = grad + correction
+            if freeze is not None:
+                grad[freeze] = 0.0
             t += 1
             if kind == "sgd":
                 params = params - lr * grad
@@ -228,7 +228,8 @@ def reference_local_train(spec, ds, client, global_params, *, epochs, batch_size
 
 class TestLocalTrainReference:
     """``local_train`` reuses its buffers and updates in place; its bits must
-    equal the allocating reference above in every hook combination."""
+    equal the allocating reference above for every rule's hook, which the
+    reference does not call: it applies each rule's formula itself."""
 
     def setup(self, activation="relu"):
         ds = data.generate_synthetic(3, 5, 50, 2.0, seed=30)  # 150 samples
@@ -243,8 +244,8 @@ class TestLocalTrainReference:
             (strategies.StrategyConfig(), "adam", 1e-2, "relu"),
             (strategies.StrategyConfig(), "sgd", 0.1, "relu"),
             (strategies.StrategyConfig(), "adam", 1e-2, "tanh"),
-            (strategies.StrategyConfig(kind="fedprox", mu=0.5), "adam", 1e-2, "relu"),
-            (strategies.StrategyConfig(kind="fedprox", mu=0.5), "sgd", 0.1, "tanh"),
+            (strategies.StrategyConfig(kind="fedprox", mu=0.3), "adam", 1e-2, "relu"),
+            (strategies.StrategyConfig(kind="fedprox", mu=0.3), "sgd", 0.1, "tanh"),
             (strategies.StrategyConfig(kind="scaffold"), "sgd", 0.1, "relu"),
             (strategies.StrategyConfig(kind="fedbabu"), "adam", 1e-2, "relu"),
             (strategies.StrategyConfig(kind="fedbabu", head_layer=0), "sgd", 0.1, "relu"),
@@ -259,17 +260,25 @@ class TestLocalTrainReference:
         rule = strategies.RULES[strategy.kind](
             strategy, spec, params, client.client_id + 1, optimizer
         )
+        formulas = {}
+        if strategy.kind == "fedprox":
+            formulas = dict(mu=strategy.mu)
         if strategy.kind == "scaffold":
             size = spec.param_count()
-            rule.c = rng.normal(scale=0.05, size=size)
-            rule.client_c[client.client_id] = rng.normal(scale=0.05, size=size)
-        hooks = rule.hooks(params, client.client_id)
+            c, c_r = rng.normal(scale=0.05, size=size), rng.normal(scale=0.05, size=size)
+            rule.c, rule.client_c[client.client_id] = c, c_r
+            formulas = dict(correction=c - c_r)
+        if strategy.kind == "fedbabu":
+            formulas = dict(freeze=spec.layer_span(strategy.head_layer))
         # two epochs of 100 samples in batches of 16: the last batch has 4 rows
-        kwargs = dict(epochs=2, batch_size=16, hooks=hooks, round_index=4)
+        kwargs = dict(epochs=2, batch_size=16, round_index=4)
         broadcast = params.copy()
-        update = simulation.local_train(spec, ds, client, params, optimizer=optimizer, **kwargs)
+        update = simulation.local_train(
+            spec, ds, client, params, optimizer=optimizer,
+            adjust=rule.hooks(params, client.client_id), **kwargs,
+        )
         weights, tau, z = reference_local_train(
-            spec, ds, client, params, kind=kind, lr=lr, **kwargs
+            spec, ds, client, params, kind=kind, lr=lr, **formulas, **kwargs
         )
         assert_array_equal(params, broadcast)  # the broadcast vector is left as it was
         assert update.tau == tau == 14
@@ -280,19 +289,17 @@ class TestLocalTrainReference:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_loss_matches_reference_bitwise(self, activation):
         ds, spec, params, _ = self.setup(activation)
-        anchor = params + 0.01
         for rows in (slice(0, 64), slice(64, 67)):
             x, y = ds.features[rows], ds.labels[rows]
-            for prox in (None, (0.0, anchor), (0.5, anchor)):
-                loss, grad = nn.loss_and_grad(spec, params, x, y, prox=prox)
-                ref_loss, ref_grad = reference_loss_and_grad(spec, params, x, y, prox)
-                assert loss == ref_loss
-                assert_array_equal(grad, ref_grad)
+            loss, grad = nn.loss_and_grad(spec, params, x, y)
+            ref_loss, ref_grad = reference_loss_and_grad(spec, params, x, y)
+            assert loss == ref_loss
+            assert_array_equal(grad, ref_grad)
 
     def test_clients_in_turn_from_one_template_match_separate_runs(self):
         ds, spec, params, client = self.setup()
         other = simulation.ClientState(4, np.arange(0, 60), seed=34)
-        kwargs = dict(epochs=2, batch_size=16, hooks=strategies.LocalHooks(), round_index=1)
+        kwargs = dict(epochs=2, batch_size=16, round_index=1)
         template = nn.OptimizerState(kind="adam", lr=1e-2)
         in_turn = [
             simulation.local_train(spec, ds, c, params, optimizer=template, **kwargs)
@@ -339,7 +346,7 @@ class TestRunRound:
             simulation.local_train(
                 fed.server.spec, fed.train, client, broadcast,
                 epochs=fed.epochs, batch_size=fed.batch_size,
-                optimizer=fed.optimizer, hooks=strategies.LocalHooks(), round_index=0,
+                optimizer=fed.optimizer, round_index=0,
             )
             for client in fed.clients
         ]
@@ -359,6 +366,17 @@ class TestRunRound:
             seen.append(tuple(ids))
             assert [c.client_id for c in twin.run_round().clients] == ids
         assert len(set(seen)) > 1  # the draw changes across rounds
+
+    @pytest.mark.parametrize(
+        "participation, total, expected",
+        [(0.07, 100, 7), (0.55, 100, 55), (0.28, 25, 7), (0.25, 200, 50), (0.3, 4, 2)],
+    )
+    def test_participation_share_samples_that_many_clients(self, participation, total, expected):
+        """A share k/total samples exactly k clients, although the float
+        product overshoots k for the first three; a share between two counts
+        rounds up."""
+        fed = build_federation(num_clients=total, participation=participation, shared_shards=True)
+        assert len(fed.run_round().clients) == expected
 
     def test_rounds_zero_is_a_no_op(self):
         fed = build_federation()

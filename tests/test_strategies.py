@@ -1,4 +1,4 @@
-"""Aggregation-rule checks: importance, hooks, reductions between strategies."""
+"""Aggregation-rule checks: importance, gradient hooks, reductions between strategies."""
 
 import numpy as np
 import pytest
@@ -84,41 +84,85 @@ class TestRuleTable:
             assert issubclass(rule, strategies.FedAvg)
 
 
+def adjusted(adjust, params, grad):
+    """What ``adjust`` makes of a copy of ``grad``; ``params`` must stay as it is."""
+    before, out = params.copy(), grad.copy()
+    adjust(params, out)
+    assert_array_equal(params, before)
+    return out
+
+
 class TestLocalHooks:
+    """Each rule's hook, checked bit for bit on a random gradient vector."""
+
+    spec = nn.ModelSpec((3, 4, 2))
+
+    def vectors(self, seed, count):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=self.spec.param_count()) for _ in range(count)]
+
     def test_fedavg_hooks_are_identity(self):
-        spec = nn.ModelSpec((3, 4, 2))
-        cfg = strategies.StrategyConfig()
-        params = np.zeros(spec.param_count())
-        hooks = fresh_rule(cfg, spec, params, 1).hooks(params, 0)
-        assert hooks.prox is None and hooks.grad_correction is None
-        assert hooks.freeze is None
+        (params,) = self.vectors(0, 1)
+        for cfg in (
+            strategies.StrategyConfig(),
+            strategies.StrategyConfig(kind="sgdm"),
+            strategies.StrategyConfig(kind="fednova"),
+            strategies.StrategyConfig(kind="fedprox", mu=0.0),
+        ):
+            assert fresh_rule(cfg, self.spec, params, 1).hooks(params, 0) is None, cfg.kind
 
     def test_fedprox_anchor_is_broadcast(self):
-        spec = nn.ModelSpec((3, 4, 2))
-        anchor = np.arange(spec.param_count(), dtype=np.float64)
+        anchor, params, other, grad = self.vectors(1, 4)
         cfg = strategies.StrategyConfig(kind="fedprox", mu=0.2)
-        hooks = fresh_rule(cfg, spec, anchor, 1).hooks(anchor, 0)
-        mu, got = hooks.prox
-        assert mu == 0.2
-        assert got is anchor
+        adjust = fresh_rule(cfg, self.spec, anchor, 1).hooks(anchor, 0)
+        # the hook's buffer is reused: a second call sees only its own params
+        for p in (params, other, params):
+            assert_array_equal(adjusted(adjust, p, grad), grad + (p - anchor) * 0.2)
+
+    def test_fedprox_gradient_matches_finite_differences(self):
+        """``loss_and_grad`` plus the hook is the gradient of the cross-entropy
+        plus (mu/2)*||params - global||^2."""
+        mu, h = 0.3, 1e-6
+        spec = nn.ModelSpec((3, 5, 2))
+        rng = np.random.default_rng(4)
+        params = rng.normal(scale=0.5, size=spec.param_count())
+        anchor = rng.normal(scale=0.5, size=spec.param_count())
+        x = rng.normal(size=(4, 3))
+        y = rng.integers(0, 2, size=4)
+
+        def objective(p):
+            diff = p - anchor
+            return nn.loss_and_grad(spec, p, x, y)[0] + 0.5 * mu * float(diff @ diff)
+
+        cfg = strategies.StrategyConfig(kind="fedprox", mu=mu)
+        _, grad = nn.loss_and_grad(spec, params, x, y)
+        grad = adjusted(fresh_rule(cfg, spec, anchor, 1).hooks(anchor, 0), params, grad)
+        numeric = np.empty_like(params)
+        for i, step in enumerate(np.eye(len(params)) * h):
+            numeric[i] = (objective(params + step) - objective(params - step)) / (2 * h)
+        assert_allclose(grad, numeric, rtol=1e-5, atol=1e-8)
 
     def test_scaffold_correction(self):
-        spec = nn.ModelSpec((3, 4, 2))
-        c = np.full(spec.param_count(), 0.5)
-        c_i = np.full(spec.param_count(), 0.2)
+        c, c_i, params, grad = self.vectors(2, 4)
         cfg = strategies.StrategyConfig(kind="scaffold")
-        params = np.zeros(spec.param_count())
-        rule = fresh_rule(cfg, spec, params, 1)
-        rule.c, rule.client_c[0] = c, c_i
-        hooks = rule.hooks(params, 0)
-        assert_array_equal(hooks.grad_correction, c - c_i)
+        rule = fresh_rule(cfg, self.spec, params, 2)
+        rule.c, rule.client_c[1] = c, c_i
+        adjust = rule.hooks(params, 1)
+        assert_array_equal(adjusted(adjust, params, grad), grad + (c - c_i))
+        # a fresh rule's zero variates leave the gradient as it was
+        fresh = fresh_rule(cfg, self.spec, params, 2).hooks(params, 1)
+        assert_array_equal(adjusted(fresh, params, grad), grad)
 
     def test_fedbabu_freezes_output_layer(self):
-        spec = nn.ModelSpec((3, 4, 2))
-        cfg = strategies.StrategyConfig(kind="fedbabu")
-        params = np.zeros(spec.param_count())
-        hooks = fresh_rule(cfg, spec, params, 1).hooks(params, 0)
-        assert hooks.freeze == spec.layer_span(spec.num_layers - 1)
+        params, grad = self.vectors(3, 2)
+        for head_layer in (-1, 0):
+            cfg = strategies.StrategyConfig(kind="fedbabu", head_layer=head_layer)
+            adjust = fresh_rule(cfg, self.spec, params, 1).hooks(params, 0)
+            head = self.spec.layer_span(head_layer)
+            expected = grad.copy()
+            expected[head] = 0.0
+            assert_array_equal(adjusted(adjust, params, grad), expected)
+            assert np.count_nonzero(expected) == len(grad) - (head.stop - head.start)
 
 
 class TestTrainingReductions:
@@ -126,12 +170,12 @@ class TestTrainingReductions:
         ds, spec, params, client = training_setup()
         kwargs = dict(epochs=2, batch_size=8, optimizer=nn.OptimizerState(), round_index=0)
         plain = simulation.local_train(
-            spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
+            spec, ds, client, params, **kwargs
         )
         cfg = strategies.StrategyConfig(kind="fedprox", mu=0.0)
         rule = fresh_rule(cfg, spec, params, client.client_id + 1)
         prox = simulation.local_train(
-            spec, ds, client, params, hooks=rule.hooks(params, client.client_id), **kwargs
+            spec, ds, client, params, adjust=rule.hooks(params, client.client_id), **kwargs
         )
         assert_array_equal(plain.weights, prox.weights)
         assert_array_equal(plain.z, prox.z)
@@ -144,13 +188,13 @@ class TestTrainingReductions:
             round_index=0,
         )
         plain = simulation.local_train(
-            spec, ds, client, params, hooks=strategies.LocalHooks(), **kwargs
+            spec, ds, client, params, **kwargs
         )
         cfg = strategies.StrategyConfig(kind="scaffold")
         rule = fresh_rule(cfg, spec, params, client.client_id + 1, kwargs["optimizer"])
         rule.c, rule.client_c[client.client_id] = np.zeros(size), np.zeros(size)
         corrected = simulation.local_train(
-            spec, ds, client, params, hooks=rule.hooks(params, client.client_id), **kwargs
+            spec, ds, client, params, adjust=rule.hooks(params, client.client_id), **kwargs
         )
         assert corrected.tau == 1  # single batch, one local step
         assert_allclose(corrected.weights, plain.weights, rtol=0, atol=1e-12)
@@ -168,7 +212,7 @@ class TestTrainingReductions:
         update = simulation.local_train(
             spec, ds, client, params,
             epochs=3, batch_size=8, optimizer=nn.OptimizerState(),
-            hooks=rule.hooks(params, client.client_id),
+            adjust=rule.hooks(params, client.client_id),
             round_index=0,
         )
         assert_array_equal(update.weights[head], params[head])
