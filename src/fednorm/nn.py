@@ -21,6 +21,10 @@ _ACTIVATIONS = ("relu", "tanh")
 _OPTIMIZERS = ("sgd", "adam")
 # adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# elements per block of an elementwise update over a parameter vector: 256 KB
+# per float64 array, so the handful of arrays one block touches stay in a
+# core's L2 cache until the block is done
+BLOCK = 32768
 
 
 class TrainingDiverged(RuntimeError):
@@ -243,9 +247,10 @@ def loss_and_grad(spec, params, x, y, *, out=None):
 class OptimizerState:
     """Hyperparameters plus per-run mutable buffers of one local optimizer.
 
-    The moment buffers ``m``/``v`` and the ``scratch`` arrays of the update are
-    allocated on the first step and updated in place afterwards; ``fresh()``
-    hands out a copy with cleared buffers for the next client round.
+    The moment buffers ``m``/``v`` are allocated on the first step and updated
+    in place afterwards; so are the ``scratch`` arrays of the update, which
+    hold one block of at most ``BLOCK`` elements.  ``fresh()`` hands out a
+    copy with cleared buffers for the next client round.
     """
 
     kind: str = "adam"
@@ -274,38 +279,44 @@ def optimizer_step(params, grad, state: OptimizerState):
     untouched.  Each update is evaluated in the textbook order, so the bits
     equal those of ``params - lr*grad`` (sgd) and of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
-    ``params - lr*m_hat / (sqrt(v_hat) + eps)`` (adam).
+    ``params - lr*m_hat / (sqrt(v_hat) + eps)`` (adam).  The vector is walked
+    in blocks of ``BLOCK`` elements, each finished before the next starts;
+    every operation is elementwise, so the blocking changes no bits.
     """
     t = state.step + 1
     if state.scratch is None:
         count = 1 if state.kind == "sgd" else 2
-        state.scratch = tuple(np.empty_like(params) for _ in range(count))
-    update = state.scratch[0]
-    if state.kind == "sgd":
-        np.multiply(grad, state.lr, out=update)
-    else:
+        state.scratch = tuple(np.empty(min(len(params), BLOCK)) for _ in range(count))
+    if state.kind == "adam":
         if state.m is None:
             state.m = np.zeros_like(params)
         if state.v is None:
             state.v = np.zeros_like(params)
-        m, v, denom = state.m, state.v, state.scratch[1]
-        m *= ADAM_BETA1
-        np.multiply(grad, 1.0 - ADAM_BETA1, out=denom)
-        m += denom
-        v *= ADAM_BETA2
-        np.multiply(grad, 1.0 - ADAM_BETA2, out=denom)
-        denom *= grad
-        v += denom
-        np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        np.divide(m, 1.0 - ADAM_BETA1**t, out=update)
-        update *= state.lr
-        update /= denom
-    params -= update
+    for start in range(0, len(params), BLOCK):
+        span = slice(start, start + BLOCK)
+        p, g = params[span], grad[span]
+        update = state.scratch[0][: len(p)]
+        if state.kind == "sgd":
+            np.multiply(g, state.lr, out=update)
+        else:
+            m, v, denom = state.m[span], state.v[span], state.scratch[1][: len(p)]
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=denom)
+            m += denom
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=denom)
+            denom *= g
+            v += denom
+            np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            np.divide(m, 1.0 - ADAM_BETA1**t, out=update)
+            update *= state.lr
+            update /= denom
+        p -= update
+        if not np.isfinite(p).all():
+            raise TrainingDiverged(f"non-finite parameters after step {t}")
     state.step = t
-    if not np.isfinite(params).all():
-        raise TrainingDiverged(f"non-finite parameters after step {t}")
     return params, state
 
 

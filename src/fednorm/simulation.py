@@ -81,8 +81,7 @@ def local_train(
 
     Epochs iterate the full shard in shuffled minibatches; the shuffle depends
     only on (client seed, round).  ``adjust``, the rule's hook, edits every
-    minibatch gradient in place.  The mean latent is taken over the whole
-    shard once, after the final epoch.
+    minibatch gradient in place.  The update carries no mean latent.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -116,13 +115,7 @@ def local_train(
                 ) from exc
             steps += 1
 
-    return strategies.ClientUpdate(
-        client_id=client.client_id,
-        weights=params,
-        z=nn.mean_latent(spec, params, x),
-        n=n,
-        tau=steps,
-    )
+    return strategies.ClientUpdate(client_id=client.client_id, weights=params, n=n, tau=steps)
 
 
 @dataclass
@@ -160,8 +153,10 @@ class Federation:
         return [self.clients[i] for i in chosen]
 
     def _train_one(self, client: ClientState) -> strategies.ClientUpdate:
+        """Train one client; its mean latent over the whole shard, taken after
+        the final epoch, is computed only when the server normalizes."""
         server = self.server
-        return local_train(
+        update = local_train(
             server.spec,
             self.train,
             client,
@@ -172,6 +167,10 @@ class Federation:
             round_index=server.round_index,
             adjust=self.rule.hooks(server.params, client.client_id),
         )
+        if server.normalize:
+            shard = self.train.features[client.indices]
+            update.z = nn.mean_latent(server.spec, update.weights, shard)
+        return update
 
     def run_round(self) -> RoundReport:
         """Advance the federation by one round and report on it."""

@@ -50,9 +50,10 @@ class ClientUpdate:
 
     client_id: int
     weights: np.ndarray
-    z: np.ndarray
     n: int
     tau: int
+    # the mean latent; only a federation that normalizes asks for it
+    z: np.ndarray | None = None
 
 
 def importance(updates: list[ClientUpdate]) -> np.ndarray:
@@ -116,12 +117,17 @@ class FedProx(FedAvg):
         mu = self.cfg.mu
         if mu == 0:
             return None
-        diff = np.empty_like(global_params)
+        # one buffer per call: hooks of different clients run on different threads
+        block = np.empty(min(len(global_params), nn.BLOCK))
 
         def adjust(params, grad):
-            np.subtract(params, global_params, out=diff)
-            np.multiply(diff, mu, out=diff)
-            grad += diff
+            for start in range(0, len(params), nn.BLOCK):
+                span = slice(start, start + nn.BLOCK)
+                p, g = params[span], grad[span]
+                diff = block[: len(p)]
+                np.subtract(p, global_params[span], out=diff)
+                np.multiply(diff, mu, out=diff)
+                g += diff
 
         return adjust
 
@@ -158,9 +164,9 @@ class Scaffold(FedAvg):
             drift += weight * delta
             delta /= up.tau * self.lr
             delta -= self.c
-        self.c = self.c + (len(updates) / len(self.client_c)) * deltas.mean(axis=0)
+        self.c += (len(updates) / len(self.client_c)) * deltas.mean(axis=0)
         for up, delta in zip(updates, deltas):
-            self.client_c[up.client_id] = self.client_c[up.client_id] + delta
+            self.client_c[up.client_id] += delta
         return global_params - self.cfg.server_lr * drift
 
 

@@ -235,7 +235,7 @@ class TestStrategyReductions:
 
             # fednova with equal step counts
             updates = [
-                strategies.ClientUpdate(i, rng.normal(size=9), np.ones(3), 10, 6)
+                strategies.ClientUpdate(i, rng.normal(size=9), n=10, tau=6)
                 for i in range(4)
             ]
             u = rng.dirichlet(np.ones(4))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fednorm import nn
@@ -296,6 +297,71 @@ class TestOptimizers:
             nn.optimizer_step(
                 np.array([1e308]), np.array([-1e308]), nn.OptimizerState(kind="sgd", lr=10.0)
             )
+
+
+def textbook_steps(kind, params, grads, lr):
+    """Whole-vector sgd/adam over ``grads``: a new array for every operation."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m = v = np.zeros_like(params)
+    for t, g in enumerate(grads, start=1):
+        if kind == "sgd":
+            params = params - lr * g
+        else:
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            params = params - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return params, m, v
+
+
+# one element short of a block, exactly one, one past it, and two with a ragged third
+BLOCK_SIZES = [nn.BLOCK - 1, nn.BLOCK, nn.BLOCK + 1, 2 * nn.BLOCK + 123]
+
+
+class TestBlockedStep:
+    """``optimizer_step`` walks the vector in ``BLOCK``-element blocks; every
+    block, the ragged last one included, must get the whole-vector bits."""
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_matches_whole_vector_formulas_bitwise(self, kind, size):
+        rng = np.random.default_rng(size)
+        params = rng.normal(size=size)
+        grads = [rng.normal(size=size) for _ in range(4)]
+        expected, m, v = textbook_steps(kind, params, grads, lr=1e-2)
+        state = nn.OptimizerState(kind=kind, lr=1e-2)
+        for g in grads:
+            params, state = nn.optimizer_step(params, g, state)
+        assert_array_equal(params, expected)
+        if kind == "adam":
+            assert_array_equal(state.m, m)
+            assert_array_equal(state.v, v)
+        assert {buf.shape for buf in state.scratch} == {(min(size, nn.BLOCK),)}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(
+        kind=st.sampled_from(["sgd", "adam"]),
+        size=st.integers(1, 3 * nn.BLOCK),
+        steps=st.integers(1, 5),
+        lr=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_length_matches_whole_vector_formulas_bitwise(self, kind, size, steps, lr, seed):
+        rng = np.random.default_rng(seed)
+        params = rng.normal(size=size)
+        grads = [rng.normal(scale=rng.uniform(0.01, 10.0), size=size) for _ in range(steps)]
+        expected, _, _ = textbook_steps(kind, params, grads, lr)
+        state = nn.OptimizerState(kind=kind, lr=lr)
+        for g in grads:
+            nn.optimizer_step(params, g, state)
+        assert_array_equal(params, expected)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_non_finite_value_in_the_ragged_last_block_raises(self, kind):
+        size = 2 * nn.BLOCK + 123
+        params = np.zeros(size)
+        params[-1] = np.inf
+        with pytest.raises(nn.TrainingDiverged, match="after step 1"):
+            nn.optimizer_step(params, np.ones(size), nn.OptimizerState(kind=kind))
 
 
 class TestMeanLatent:

@@ -113,7 +113,7 @@ def update_sets(draw):
     raw = draw(arrays(np.float64, clients, elements=st.floats(0.01, 1.0)))
     taus = draw(st.lists(st.integers(1, 50), min_size=clients, max_size=clients))
     updates = [
-        strategies.ClientUpdate(r, weights[r], np.ones(2), 10, taus[r]) for r in range(clients)
+        strategies.ClientUpdate(r, weights[r], n=10, tau=taus[r]) for r in range(clients)
     ]
     return spec, global_params, updates, raw / raw.sum()
 

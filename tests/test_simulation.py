@@ -19,6 +19,7 @@ def build_federation(
     shared_shards=False,
     epochs=1,
     batch_size=32,
+    hidden=8,
 ):
     """Small hand-wired federation on a synthetic 3-class problem."""
     ds = data.generate_synthetic(3, 6, 40, 3.0, seed=seed)
@@ -29,7 +30,7 @@ def build_federation(
     else:
         shards = np.array_split(np.arange(len(train)), num_clients)
         seeds = [100 + i for i in range(num_clients)]
-    spec = nn.ModelSpec((6, 8, 3))
+    spec = nn.ModelSpec((6, hidden, 3))
     params = nn.init_model(spec, seed + 2)
     server = simulation.ServerState(
         spec=spec,
@@ -104,16 +105,18 @@ class TestLocalTrain:
         assert update.n == 100
 
     def test_latent_summary_taken_after_final_epoch(self):
-        ds = data.generate_synthetic(2, 3, 20, 3.0, seed=0)
-        client = simulation.ClientState(0, np.arange(40), seed=1)
-        spec = nn.ModelSpec((3, 4, 2))
-        update = simulation.local_train(
-            spec, ds, client, nn.init_model(spec, 2),
-            epochs=2, batch_size=16, optimizer=nn.OptimizerState(),
-            round_index=0,
-        )
-        expected = nn.mean_latent(spec, update.weights, ds.features[client.indices])
-        assert_array_equal(update.z, expected)
+        """A normalizing federation takes the mean latent of the trained
+        weights over the whole shard; without normalization the update
+        carries none and its weights are the same."""
+        fed = build_federation(normalize=True, epochs=2, batch_size=16)
+        client = fed.clients[1]
+        update = fed._train_one(client)
+        shard = fed.train.features[client.indices]
+        assert_array_equal(update.z, nn.mean_latent(fed.server.spec, update.weights, shard))
+        fed.server.normalize = False
+        plain = fed._train_one(client)
+        assert plain.z is None
+        assert_array_equal(plain.weights, update.weights)
 
     def test_shuffle_depends_on_round(self):
         ds = data.generate_synthetic(2, 3, 20, 3.0, seed=0)
@@ -231,35 +234,50 @@ class TestLocalTrainReference:
     equal the allocating reference above for every rule's hook, which the
     reference does not call: it applies each rule's formula itself."""
 
-    def setup(self, activation="relu"):
-        ds = data.generate_synthetic(3, 5, 50, 2.0, seed=30)  # 150 samples
-        spec = nn.ModelSpec((5, 8, 6, 3), activation=activation)
+    def setup(self, activation="relu", wide=False):
+        if wide:  # 39,818 parameters: two blocks, the second one ragged
+            ds = data.generate_synthetic(10, 300, 15, 2.0, seed=30)  # 150 samples
+            spec = nn.ModelSpec((300, 128, 10), activation=activation)
+        else:
+            ds = data.generate_synthetic(3, 5, 50, 2.0, seed=30)  # 150 samples
+            spec = nn.ModelSpec((5, 8, 6, 3), activation=activation)
         params = nn.init_model(spec, 31)
         client = simulation.ClientState(3, np.arange(10, 110), seed=32)  # 100 samples
         return ds, spec, params, client
 
     @pytest.mark.parametrize(
-        "strategy, kind, lr, activation",
+        "strategy, kind, lr, activation, wide",
         [
-            (strategies.StrategyConfig(), "adam", 1e-2, "relu"),
-            (strategies.StrategyConfig(), "sgd", 0.1, "relu"),
-            (strategies.StrategyConfig(), "adam", 1e-2, "tanh"),
-            (strategies.StrategyConfig(kind="fedprox", mu=0.3), "adam", 1e-2, "relu"),
-            (strategies.StrategyConfig(kind="fedprox", mu=0.3), "sgd", 0.1, "tanh"),
-            (strategies.StrategyConfig(kind="scaffold"), "sgd", 0.1, "relu"),
-            (strategies.StrategyConfig(kind="fedbabu"), "adam", 1e-2, "relu"),
-            (strategies.StrategyConfig(kind="fedbabu", head_layer=0), "sgd", 0.1, "relu"),
+            (strategies.StrategyConfig(), "adam", 1e-2, "relu", False),
+            (strategies.StrategyConfig(), "sgd", 0.1, "relu", False),
+            (strategies.StrategyConfig(), "adam", 1e-2, "tanh", False),
+            (strategies.StrategyConfig(kind="fedprox", mu=0.3), "adam", 1e-2, "relu", False),
+            (strategies.StrategyConfig(kind="fedprox", mu=0.3), "sgd", 0.1, "tanh", False),
+            (strategies.StrategyConfig(kind="scaffold"), "sgd", 0.1, "relu", False),
+            (strategies.StrategyConfig(kind="fedbabu"), "adam", 1e-2, "relu", False),
+            (strategies.StrategyConfig(kind="fedbabu", head_layer=0), "sgd", 0.1, "relu", False),
+            (strategies.StrategyConfig(kind="fedprox", mu=0.3), "adam", 1e-2, "relu", True),
+            (strategies.StrategyConfig(kind="scaffold"), "sgd", 0.1, "relu", True),
         ],
         ids=["adam", "sgd", "adam-tanh", "fedprox-adam", "fedprox-sgd-tanh",
-             "scaffold", "fedbabu-head", "fedbabu-first-layer"],
+             "scaffold", "fedbabu-head", "fedbabu-first-layer",
+             "fedprox-adam-wide", "scaffold-wide"],
     )
-    def test_matches_reference_bitwise(self, strategy, kind, lr, activation):
-        ds, spec, params, client = self.setup(activation)
+    def test_matches_reference_bitwise(self, strategy, kind, lr, activation, wide):
+        """Through ``Federation._train_one`` of a normalizing server, which
+        also takes the client's mean latent."""
+        ds, spec, params, client = self.setup(activation, wide)
         rng = np.random.default_rng(33)
         optimizer = nn.OptimizerState(kind=kind, lr=lr)
-        rule = strategies.RULES[strategy.kind](
-            strategy, spec, params, client.client_id + 1, optimizer
+        server = simulation.ServerState(
+            spec=spec, params=params, strategy=strategy, normalize=True, round_index=4
         )
+        # the rule keeps per-client memory for as many clients as the list holds
+        fed = simulation.Federation(
+            train=ds, test=ds, clients=[client] * (client.client_id + 1), server=server,
+            epochs=2, batch_size=16, optimizer=optimizer,
+        )
+        rule = fed.rule
         formulas = {}
         if strategy.kind == "fedprox":
             formulas = dict(mu=strategy.mu)
@@ -270,15 +288,12 @@ class TestLocalTrainReference:
             formulas = dict(correction=c - c_r)
         if strategy.kind == "fedbabu":
             formulas = dict(freeze=spec.layer_span(strategy.head_layer))
-        # two epochs of 100 samples in batches of 16: the last batch has 4 rows
-        kwargs = dict(epochs=2, batch_size=16, round_index=4)
         broadcast = params.copy()
-        update = simulation.local_train(
-            spec, ds, client, params, optimizer=optimizer,
-            adjust=rule.hooks(params, client.client_id), **kwargs,
-        )
+        update = fed._train_one(client)
+        # two epochs of 100 samples in batches of 16: the last batch has 4 rows
         weights, tau, z = reference_local_train(
-            spec, ds, client, params, kind=kind, lr=lr, **formulas, **kwargs
+            spec, ds, client, params, kind=kind, lr=lr, epochs=2, batch_size=16,
+            round_index=4, **formulas,
         )
         assert_array_equal(params, broadcast)  # the broadcast vector is left as it was
         assert update.tau == tau == 14
@@ -378,6 +393,21 @@ class TestRunRound:
         fed = build_federation(num_clients=total, participation=participation, shared_shards=True)
         assert len(fed.run_round().clients) == expected
 
+    @pytest.mark.parametrize("normalize, per_round", [(False, 0), (True, 3)])
+    def test_mean_latent_is_taken_only_when_normalizing(self, monkeypatch, normalize, per_round):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = nn.mean_latent
+        monkeypatch.setattr(nn, "mean_latent", counted)
+        fed = build_federation(normalize=normalize, num_clients=6, participation=0.5)
+        for round_index in range(1, 3):
+            fed.run_round()
+            assert len(calls) == per_round * round_index
+
     def test_rounds_zero_is_a_no_op(self):
         fed = build_federation()
         before = fed.server.params.copy()
@@ -408,13 +438,22 @@ class TestDeterminism:
         assert_array_equal(a.server.params, b.server.params)
         assert strip_durations(ra) == strip_durations(rb)
 
-    @pytest.mark.parametrize("kind", strategies.STRATEGY_KINDS)
-    def test_thread_pool_matches_serial_bitwise(self, kind):
+    @pytest.mark.parametrize(
+        "kind, shape, workers",
+        [pytest.param(kind, {}, 4, id=kind) for kind in strategies.STRATEGY_KINDS]
+        # 40,963 parameters and eight steps per client: the clients' fedprox
+        # hooks walk their blocks at the same time
+        + [pytest.param("fedprox", dict(hidden=4096, batch_size=4, epochs=2), 2,
+                        id="fedprox-wide")],
+    )
+    def test_thread_pool_matches_serial_bitwise(self, kind, shape, workers):
         # scaffold's variate update divides by the local rate of plain sgd
         optimizer = nn.OptimizerState(kind="sgd", lr=0.05) if kind == "scaffold" else None
-        common = dict(kind=kind, normalize=True, num_clients=6, seed=9, optimizer=optimizer)
+        common = dict(
+            kind=kind, normalize=True, num_clients=6, seed=9, optimizer=optimizer, **shape
+        )
         serial = build_federation(workers=1, **common)
-        pooled = build_federation(workers=4, **common)
+        pooled = build_federation(workers=workers, **common)
         rs = serial.run(3)
         rp = pooled.run(3)
         assert_array_equal(serial.server.params, pooled.server.params)
