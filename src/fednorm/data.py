@@ -154,7 +154,9 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{images_path}: truncated pixel data, {len(raw)} bytes < {expected}"
         )
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=header)
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    # scaled in place: one float64 copy of the pixels, not two
+    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    features /= 255.0
 
     raw = labels_path.read_bytes()
     (label_count,), header = _read_idx_header(raw, labels_path, IDX_LABEL_MAGIC, 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -87,8 +88,6 @@ def local_train(
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    x = dataset.features[client.indices]
-    y = dataset.labels[client.indices]
     n = len(client.indices)
     if n == 0:
         raise ValueError(f"client {client.client_id} has an empty shard")
@@ -100,8 +99,8 @@ def local_train(
     rng = np.random.default_rng([client.seed, round_index])
     steps = 0
     for _ in range(epochs):
-        order = rng.permutation(n)
-        x_epoch, y_epoch = x[order], y[order]
+        rows = client.indices[rng.permutation(n)]
+        x_epoch, y_epoch = dataset.features[rows], dataset.labels[rows]
         for start in range(0, n, batch_size):
             stop = start + batch_size
             try:
@@ -152,9 +151,9 @@ class Federation:
         chosen = np.sort(rng.choice(total, size=k, replace=False))
         return [self.clients[i] for i in chosen]
 
-    def _train_one(self, client: ClientState) -> strategies.ClientUpdate:
+    def _train_one(self, client: ClientState, latent: bool) -> strategies.ClientUpdate:
         """Train one client; its mean latent over the whole shard, taken after
-        the final epoch, is computed only when the server normalizes."""
+        the final epoch, is computed only when ``latent`` asks for it."""
         server = self.server
         update = local_train(
             server.spec,
@@ -167,7 +166,7 @@ class Federation:
             round_index=server.round_index,
             adjust=self.rule.hooks(server.params, client.client_id),
         )
-        if server.normalize:
+        if latent:
             shard = self.train.features[client.indices]
             update.z = nn.mean_latent(server.spec, update.weights, shard)
         return update
@@ -177,22 +176,24 @@ class Federation:
         start = time.perf_counter()
         server = self.server
         participants = self._sample_participants(server.round_index)
+        # a lone participant has no similarity structure to exploit, so its
+        # latent would never be read
+        normalize = server.normalize and len(participants) >= 2
         if self.workers > 1:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                updates = list(pool.map(self._train_one, participants))
+                updates = list(pool.map(self._train_one, participants, repeat(normalize)))
         else:
-            updates = [self._train_one(c) for c in participants]
+            updates = [self._train_one(c, normalize) for c in participants]
 
         nu = strategies.importance(updates)
-        if server.normalize and len(updates) >= 2:
+        if normalize:
             latents = [contribution.MeanLatent(up.client_id, up.z) for up in updates]
             similarity = contribution.similarity_matrix(latents)
             lam = contribution.contribution_factors(similarity, server.temperature)
             u = contribution.normalize_weights(lam, nu)
         else:
-            # a lone participant has no similarity structure to exploit; the
-            # reported factor is the uniform value, matching what the softmax
-            # yields for indistinguishable clients
+            # the reported factor is the uniform value, matching what the
+            # softmax yields for indistinguishable clients
             lam = np.full(len(updates), 1.0 - 1.0 / len(updates))
             u = nu
 
@@ -249,9 +250,11 @@ def _derive_seed(master: int, tag: int, count: int = 1) -> list[int]:
 def run_experiment(config, on_report=None) -> ExperimentResult:
     """Build the whole federation from a RunConfig and run every round."""
     master = config.seed
-    dataset = _build_dataset(config, _derive_seed(master, _TAG_DATA)[0])
+    # no name holds the unsplit dataset, so it is freed once the split returns
     train, test = data.train_test_split(
-        dataset, config.test_fraction, _derive_seed(master, _TAG_SPLIT)[0]
+        _build_dataset(config, _derive_seed(master, _TAG_DATA)[0]),
+        config.test_fraction,
+        _derive_seed(master, _TAG_SPLIT)[0],
     )
     plan = _build_partition(config, train, _derive_seed(master, _TAG_PARTITION)[0])
 

@@ -156,17 +156,25 @@ class Scaffold(FedAvg):
         return adjust
 
     def fold(self, global_params, updates, u):
+        # client by client in O(P) scratch, with the bits of the matrix form
+        # c += (K/N) * deltas.mean(axis=0); c moves only after the loop
         drift = np.zeros_like(global_params)
-        # row r is -c + (g - w_r) / (tau_r * lr), built in place to spare heap churn
-        deltas = np.empty((len(updates), len(global_params)))
-        for weight, up, delta in zip(u, updates, deltas):
+        total = np.zeros_like(global_params)
+        delta = np.empty_like(global_params)
+        scaled = np.empty_like(global_params)
+        for weight, up in zip(u, updates):
             np.subtract(global_params, up.weights, out=delta)
-            drift += weight * delta
+            np.multiply(delta, weight, out=scaled)
+            drift += scaled
             delta /= up.tau * self.lr
             delta -= self.c
-        self.c += (len(updates) / len(self.client_c)) * deltas.mean(axis=0)
-        for up, delta in zip(updates, deltas):
+            # begun at +0.0, the sum drops only the sign of a column of -0.0
+            # deltas, which needs c == +0.0 there: c's bits do not change
+            total += delta
             self.client_c[up.client_id] += delta
+        total /= len(updates)
+        total *= len(updates) / len(self.client_c)
+        self.c += total
         return global_params - self.cfg.server_lr * drift
 
 

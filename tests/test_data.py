@@ -81,6 +81,14 @@ class TestIdxLoading:
         assert_array_equal(ds.features, np.array(pixels, dtype=np.float64).reshape(2, 4) / 255.0)
         assert_array_equal(ds.labels, [1, 0])
 
+    def test_every_byte_value_scales_as_a_division_by_255(self, tmp_path):
+        pixels = np.arange(256, dtype=np.uint8)
+        images, labels = write_idx_pair(tmp_path, pixels, labels=[0], rows=16, cols=16)
+        ds = data.load_idx(images, labels)
+        assert_array_equal(
+            ds.features.view(np.uint64), (pixels.astype(np.float64) / 255.0).view(np.uint64)[None]
+        )
+
     def test_image_magic_in_label_position(self, tmp_path):
         images, labels = write_idx_pair(
             tmp_path, [0] * 8, labels=[0, 1], label_magic=data.IDX_IMAGE_MAGIC

@@ -161,3 +161,68 @@ class TestStrategyReductions:
         np.testing.assert_allclose(
             fold("scaffold", *case, server_lr=1.0), fold("fedavg", *case), rtol=0, atol=1e-12
         )
+
+
+def assert_same_bits(actual, expected):
+    """Equal bit for bit, so 0.0 and -0.0 differ."""
+    np.testing.assert_array_equal(
+        np.asarray(actual).view(np.uint64), np.asarray(expected).view(np.uint64)
+    )
+
+
+@st.composite
+def scaffold_rounds(draw):
+    """A scaffold round: 1-64 of up to 72 clients with their taus, weights on
+    the simplex, a local rate and server memory, with exact zeros among the
+    values and clients that return the broadcast unchanged.
+
+    A model has at least two parameters; at P = 1 numpy sums the one column
+    of ``mean(axis=0)`` pairwise, not row by row."""
+    clients = draw(st.integers(1, 64))
+    total = clients + draw(st.integers(0, 8))
+    size = draw(st.integers(2, 24))
+    values = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])
+    global_params = draw(arrays(np.float64, size, elements=values))
+    weights = draw(arrays(np.float64, (clients, size), elements=values))
+    unmoved = draw(arrays(np.bool_, clients))
+    weights[unmoved] = global_params
+    c = draw(arrays(np.float64, size, elements=values))
+    client_c = draw(arrays(np.float64, (total, size), elements=values))
+    ids = sorted(draw(st.lists(st.integers(0, total - 1), min_size=clients,
+                               max_size=clients, unique=True)))
+    taus = draw(st.lists(st.integers(1, 50), min_size=clients, max_size=clients))
+    raw = draw(arrays(np.float64, clients, elements=st.floats(0.01, 1.0)))
+    lr = draw(st.floats(1e-3, 1.0))
+    server_lr = draw(st.floats(0.1, 2.0))
+    updates = [
+        strategies.ClientUpdate(r, weights[i], n=10, tau=taus[i]) for i, r in enumerate(ids)
+    ]
+    return global_params, updates, raw / raw.sum(), lr, server_lr, c, client_c
+
+
+class TestScaffoldFold:
+    @deterministic
+    @given(case=scaffold_rounds())
+    def test_streamed_fold_matches_the_delta_matrix_bitwise(self, case):
+        """The fold walks the clients one by one; the reference holds every
+        client's variate delta in one (K, P) matrix."""
+        global_params, updates, u, lr, server_lr, c, client_c = case
+        cfg = strategies.StrategyConfig(kind="scaffold", server_lr=server_lr)
+        optimizer = nn.OptimizerState(kind="sgd", lr=lr)
+        rule = strategies.Scaffold(cfg, None, global_params, len(client_c), optimizer)
+        rule.c = c.copy()
+        rule.client_c = {r: row.copy() for r, row in enumerate(client_c)}
+        new = strategies.aggregate(global_params, updates, u, rule)
+
+        moved = global_params - np.array([up.weights for up in updates])
+        taus = np.array([[up.tau] for up in updates])
+        deltas = -c + moved / (taus * lr)
+        drift = np.zeros_like(global_params)
+        for row in u[:, None] * moved:
+            drift += row
+        assert_same_bits(new, global_params - server_lr * drift)
+        assert_same_bits(rule.c, c + (len(updates) / len(client_c)) * deltas.mean(axis=0))
+        ids = [up.client_id for up in updates]
+        for r, row in enumerate(client_c):
+            expected = row + deltas[ids.index(r)] if r in ids else row
+            assert_same_bits(rule.client_c[r], expected)

@@ -1,5 +1,7 @@
 """Round-loop checks: local training, reporting, determinism, parallelism."""
 
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -105,16 +107,15 @@ class TestLocalTrain:
         assert update.n == 100
 
     def test_latent_summary_taken_after_final_epoch(self):
-        """A normalizing federation takes the mean latent of the trained
-        weights over the whole shard; without normalization the update
-        carries none and its weights are the same."""
+        """Asked for, the mean latent is that of the trained weights over the
+        whole shard; otherwise the update carries none and its weights are
+        the same."""
         fed = build_federation(normalize=True, epochs=2, batch_size=16)
         client = fed.clients[1]
-        update = fed._train_one(client)
+        update = fed._train_one(client, latent=True)
         shard = fed.train.features[client.indices]
         assert_array_equal(update.z, nn.mean_latent(fed.server.spec, update.weights, shard))
-        fed.server.normalize = False
-        plain = fed._train_one(client)
+        plain = fed._train_one(client, latent=False)
         assert plain.z is None
         assert_array_equal(plain.weights, update.weights)
 
@@ -289,7 +290,7 @@ class TestLocalTrainReference:
         if strategy.kind == "fedbabu":
             formulas = dict(freeze=spec.layer_span(strategy.head_layer))
         broadcast = params.copy()
-        update = fed._train_one(client)
+        update = fed._train_one(client, latent=True)
         # two epochs of 100 samples in batches of 16: the last batch has 4 rows
         weights, tau, z = reference_local_train(
             spec, ds, client, params, kind=kind, lr=lr, epochs=2, batch_size=16,
@@ -393,8 +394,16 @@ class TestRunRound:
         fed = build_federation(num_clients=total, participation=participation, shared_shards=True)
         assert len(fed.run_round().clients) == expected
 
-    @pytest.mark.parametrize("normalize, per_round", [(False, 0), (True, 3)])
-    def test_mean_latent_is_taken_only_when_normalizing(self, monkeypatch, normalize, per_round):
+    @pytest.mark.parametrize(
+        "normalize, participation, per_round",
+        [(False, 0.5, 0), (True, 0.5, 3), (True, 0.1, 0)],
+        ids=["False-0", "True-3", "True-lone-0"],
+    )
+    def test_mean_latent_is_taken_only_when_normalizing(
+        self, monkeypatch, normalize, participation, per_round
+    ):
+        """Only a normalizing round of two or more clients reads the latents,
+        so a lone participant's is never taken."""
         calls = []
 
         def counted(*args):
@@ -403,7 +412,7 @@ class TestRunRound:
 
         original = nn.mean_latent
         monkeypatch.setattr(nn, "mean_latent", counted)
-        fed = build_federation(normalize=normalize, num_clients=6, participation=0.5)
+        fed = build_federation(normalize=normalize, num_clients=6, participation=participation)
         for round_index in range(1, 3):
             fed.run_round()
             assert len(calls) == per_round * round_index
@@ -513,3 +522,20 @@ class TestRunExperiment:
             first.federation.server.params, second.federation.server.params
         )
         assert strip_durations(first.reports) == strip_durations(second.reports)
+
+    def test_unsplit_dataset_is_freed_before_the_first_round(self, monkeypatch):
+        """Only the train and test parts outlive the split."""
+        unsplit = []
+        original = simulation._build_dataset
+
+        def traced(config, seed):
+            dataset = original(config, seed)
+            unsplit.append(weakref.ref(dataset))
+            return dataset
+
+        monkeypatch.setattr(simulation, "_build_dataset", traced)
+        alive = []
+        simulation.run_experiment(
+            self.base_config(), on_report=lambda report: alive.append(unsplit[0]() is not None)
+        )
+        assert alive == [False, False]

@@ -1,5 +1,7 @@
 """Aggregation-rule checks: importance, gradient hooks, reductions between strategies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -379,6 +381,29 @@ class TestAggregate:
             strategies.aggregate(
                 np.zeros(2), updates, np.array([0.5, 0.5]), fresh_rule(cfg, None, np.zeros(2))
             )
+
+
+class TestFoldMemory:
+    @pytest.mark.parametrize("kind", strategies.STRATEGY_KINDS)
+    def test_fold_scratch_is_a_few_parameter_vectors(self, kind):
+        """numpy reports its buffers to tracemalloc, so the traced peak is what
+        one fold of 32 clients allocates: a few parameter vectors, never one
+        per client."""
+        spec = nn.ModelSpec((32, 120, 3))
+        size = spec.param_count()
+        rng = np.random.default_rng(40)
+        params = rng.normal(size=size)
+        updates = random_updates(rng, 32, size)
+        u = rng.dirichlet(np.ones(32))
+        rule = fresh_rule(strategies.StrategyConfig(kind=kind), spec, params, num_clients=32)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            strategies.aggregate(params, updates, u, rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 8 * size * 8
 
 
 class TestNormalizationComposability:
