@@ -11,7 +11,6 @@ from .contribution import (
 )
 from .data import (
     Dataset,
-    DirichletConfig,
     PartitionPlan,
     generate_synthetic,
     load_idx,
@@ -30,7 +29,6 @@ __all__ = [
     "ConfigError",
     "Dataset",
     "DegenerateLatent",
-    "DirichletConfig",
     "Federation",
     "MeanLatent",
     "ModelSpec",

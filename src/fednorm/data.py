@@ -81,28 +81,6 @@ class PartitionPlan:
         return [len(a) for a in self.assignments]
 
 
-@dataclass(frozen=True)
-class DirichletConfig:
-    """Knobs of the Dirichlet label-skew partitioner."""
-
-    alpha: float
-    clients: int
-    min_samples_per_client: int = 64
-    max_redraws: int = 100
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.clients < 2:
-            raise ValueError(f"dirichlet partitioning needs >= 2 clients, got {self.clients}")
-        if self.min_samples_per_client < 1:
-            raise ValueError(
-                f"min_samples_per_client must be >= 1, got {self.min_samples_per_client}"
-            )
-        if self.max_redraws < 0:
-            raise ValueError(f"max_redraws must be >= 0, got {self.max_redraws}")
-
-
 def generate_synthetic(
     classes: int, dims: int, per_class: int, spread: float, seed: int
 ) -> Dataset:
@@ -183,35 +161,45 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def partition_dirichlet(dataset: Dataset, cfg: DirichletConfig, seed: int) -> PartitionPlan:
+def partition_dirichlet(
+    dataset: Dataset, *, alpha: float, clients: int, min_samples: int, max_redraws: int, seed: int
+) -> PartitionPlan:
     """Label-skewed shards: per class, client shares are drawn Dir(alpha).
 
     The whole plan is redrawn (up to ``max_redraws`` extra attempts) until
-    every client holds at least ``min_samples_per_client`` samples.
+    every client holds at least ``min_samples`` samples.
     """
-    rng = np.random.default_rng(seed)
-    if cfg.clients * cfg.min_samples_per_client > len(dataset):
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if clients < 2:
+        raise ValueError(f"dirichlet partitioning needs clients >= 2, got {clients}")
+    if min_samples < 1:
+        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
+    if max_redraws < 0:
+        raise ValueError(f"max_redraws must be >= 0, got {max_redraws}")
+    if clients * min_samples > len(dataset):
         raise ValueError(
-            f"cannot give {cfg.clients} clients {cfg.min_samples_per_client} samples "
+            f"cannot give {clients} clients {min_samples} samples "
             f"each from {len(dataset)} total"
         )
-    for _ in range(cfg.max_redraws + 1):
-        buckets: list[list[np.ndarray]] = [[] for _ in range(cfg.clients)]
+    rng = np.random.default_rng(seed)
+    for _ in range(max_redraws + 1):
+        buckets: list[list[np.ndarray]] = [[] for _ in range(clients)]
         for c in range(dataset.class_count):
             idx = np.flatnonzero(dataset.labels == c)
             if idx.size == 0:
                 continue
             idx = rng.permutation(idx)
-            shares = rng.dirichlet(np.full(cfg.clients, cfg.alpha))
+            shares = rng.dirichlet(np.full(clients, alpha))
             counts = _largest_remainder(shares, idx.size)
             for r, chunk in enumerate(np.split(idx, np.cumsum(counts)[:-1])):
                 buckets[r].append(chunk)
         sizes = [sum(len(c) for c in b) for b in buckets]
-        if min(sizes) >= cfg.min_samples_per_client:
+        if min(sizes) >= min_samples:
             return PartitionPlan([np.sort(np.concatenate(b)) for b in buckets])
     raise ValueError(
-        f"no draw satisfied min_samples_per_client={cfg.min_samples_per_client} "
-        f"after {cfg.max_redraws + 1} attempts (alpha={cfg.alpha}, clients={cfg.clients})"
+        f"no draw satisfied min_samples={min_samples} "
+        f"after {max_redraws + 1} attempts (alpha={alpha}, clients={clients})"
     )
 
 
@@ -240,13 +228,13 @@ def partition_label_split(dataset: Dataset, groups) -> PartitionPlan:
                     f"class groups of clients {i} and {j} overlap partially; "
                     "groups must be identical or disjoint"
                 )
-    assignments: list[list[int]] = [[] for _ in sets]
+    assignments = [None] * len(sets)
     for group in dict.fromkeys(sets):  # unique groups, first-seen order
         sharers = [r for r, s in enumerate(sets) if s == group]
         pool = np.flatnonzero(np.isin(dataset.labels, sorted(group)))
-        for pos, sample in enumerate(pool):
-            assignments[sharers[pos % len(sharers)]].append(int(sample))
-    return PartitionPlan([np.asarray(a, dtype=np.int64) for a in assignments])
+        for j, r in enumerate(sharers):
+            assignments[r] = pool[j::len(sharers)]
+    return PartitionPlan(assignments)
 
 
 def train_test_split(dataset: Dataset, test_fraction: float, seed: int):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -29,13 +29,10 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    """Global model plus everything the server carries across rounds."""
+    """What changes from round to round: the global model and the round count.
+    The run's fixed settings live on ``Federation``."""
 
-    spec: nn.ModelSpec
     params: np.ndarray
-    strategy: strategies.StrategyConfig
-    normalize: bool = True
-    temperature: float = 0.5
     round_index: int = 0
 
 
@@ -119,28 +116,33 @@ def local_train(
 
 @dataclass
 class Federation:
-    """The full simulation: datasets, clients, server, training knobs and aggregation rule."""
+    """The full simulation: datasets, clients, server state, the run's fixed
+    settings (no defaults: those are ``config.RunConfig``'s) and the rule,
+    which alone holds the strategy config, as ``rule.cfg``."""
 
     train: data.Dataset
     test: data.Dataset
     clients: list[ClientState]
     server: ServerState
-    epochs: int = 2
-    batch_size: int = 64
-    optimizer: nn.OptimizerState = field(default_factory=nn.OptimizerState)
-    participation: float = 1.0
-    seed: int = 0
-    workers: int = 1
+    spec: nn.ModelSpec
+    strategy: InitVar[strategies.StrategyConfig]
+    normalize: bool
+    temperature: float
+    epochs: int
+    batch_size: int
+    optimizer: nn.OptimizerState
+    participation: float
+    seed: int
+    workers: int
     rule: strategies.FedAvg = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, strategy: strategies.StrategyConfig):
         if not 0.0 < self.participation <= 1.0:
             raise ValueError(f"participation must be in (0, 1], got {self.participation}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        server = self.server
-        self.rule = strategies.RULES[server.strategy.kind](
-            server.strategy, server.spec, server.params, len(self.clients), self.optimizer
+        self.rule = strategies.RULES[strategy.kind](
+            strategy, self.spec, self.server.params, len(self.clients), self.optimizer
         )
 
     def _sample_participants(self, round_index: int) -> list[ClientState]:
@@ -156,7 +158,7 @@ class Federation:
         the final epoch, is computed only when ``latent`` asks for it."""
         server = self.server
         update = local_train(
-            server.spec,
+            self.spec,
             self.train,
             client,
             server.params,
@@ -168,7 +170,7 @@ class Federation:
         )
         if latent:
             shard = self.train.features[client.indices]
-            update.z = nn.mean_latent(server.spec, update.weights, shard)
+            update.z = nn.mean_latent(self.spec, update.weights, shard)
         return update
 
     def run_round(self) -> RoundReport:
@@ -178,7 +180,7 @@ class Federation:
         participants = self._sample_participants(server.round_index)
         # a lone participant has no similarity structure to exploit, so its
         # latent would never be read
-        normalize = server.normalize and len(participants) >= 2
+        normalize = self.normalize and len(participants) >= 2
         if self.workers > 1:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
                 updates = list(pool.map(self._train_one, participants, repeat(normalize)))
@@ -189,7 +191,7 @@ class Federation:
         if normalize:
             latents = [contribution.MeanLatent(up.client_id, up.z) for up in updates]
             similarity = contribution.similarity_matrix(latents)
-            lam = contribution.contribution_factors(similarity, server.temperature)
+            lam = contribution.contribution_factors(similarity, self.temperature)
             u = contribution.normalize_weights(lam, nu)
         else:
             # the reported factor is the uniform value, matching what the
@@ -198,7 +200,7 @@ class Federation:
             u = nu
 
         new_params = strategies.aggregate(server.params, updates, u, self.rule)
-        accuracy, loss = evaluate(server.spec, new_params, self.test)
+        accuracy, loss = evaluate(self.spec, new_params, self.test)
         metrics = [
             ClientRoundMetrics(
                 client_id=up.client_id,
@@ -267,18 +269,15 @@ def run_experiment(config, on_report=None) -> ExperimentResult:
         ClientState(r, plan.assignments[r], client_seeds[r])
         for r in range(plan.num_clients)
     ]
-    server = ServerState(
-        spec=spec,
-        params=params,
-        strategy=config.strategy,
-        normalize=config.normalize,
-        temperature=config.temperature,
-    )
     federation = Federation(
         train=train,
         test=test,
         clients=clients,
-        server=server,
+        server=ServerState(params),
+        spec=spec,
+        strategy=config.strategy,
+        normalize=config.normalize,
+        temperature=config.temperature,
         epochs=config.epochs,
         batch_size=config.batch_size,
         optimizer=nn.OptimizerState(kind=config.optimizer.kind, lr=config.optimizer.lr),
@@ -300,11 +299,12 @@ def _build_dataset(config, seed: int) -> data.Dataset:
 def _build_partition(config, train: data.Dataset, seed: int) -> data.PartitionPlan:
     part = config.partition
     if part.kind == "dirichlet":
-        cfg = data.DirichletConfig(
+        return data.partition_dirichlet(
+            train,
             alpha=part.alpha,
             clients=config.clients,
-            min_samples_per_client=part.min_samples,
+            min_samples=part.min_samples,
             max_redraws=part.max_redraws,
+            seed=seed,
         )
-        return data.partition_dirichlet(train, cfg, seed)
     return data.partition_label_split(train, part.groups)

@@ -126,14 +126,13 @@ class TestHomogeneityNoOp:
                     simulation.ClientState(i, np.arange(len(train)), seed=77)
                     for i in range(10)
                 ]
-                server = simulation.ServerState(
-                    spec=spec,
-                    params=params,
-                    strategy=strategies.StrategyConfig(),
-                    normalize=normalize,
-                )
                 return simulation.Federation(
-                    train=train, test=test, clients=clients, server=server, seed=45
+                    train=train, test=test, clients=clients,
+                    server=simulation.ServerState(params), spec=spec,
+                    strategy=strategies.StrategyConfig(), normalize=normalize,
+                    temperature=0.5, epochs=2, batch_size=64,
+                    optimizer=nn.OptimizerState(), participation=1.0, seed=45,
+                    workers=1,
                 )
 
             scaled = shared_shard_federation(True)
@@ -284,15 +283,13 @@ class TestStrategyReductions:
                 clients = [
                     simulation.ClientState(i, shards[i], 100 + i) for i in range(4)
                 ]
-                server = simulation.ServerState(
-                    spec=spec,
-                    params=params,
-                    strategy=strategies.StrategyConfig(kind=kind),
-                    normalize=False,
-                )
                 return simulation.Federation(
-                    train=train, test=test, clients=clients, server=server,
-                    optimizer=optimizer or nn.OptimizerState(), seed=seed + 3,
+                    train=train, test=test, clients=clients,
+                    server=simulation.ServerState(params), spec=spec,
+                    strategy=strategies.StrategyConfig(kind=kind), normalize=False,
+                    temperature=0.5, epochs=2, batch_size=64,
+                    optimizer=optimizer or nn.OptimizerState(), participation=1.0,
+                    seed=seed + 3, workers=1,
                 )
 
             fed = federation("fedbabu")
@@ -380,7 +377,7 @@ class TestDirichletPartitioner:
         with criterion("dirichlet partitioner", budget_s=60.0):
             ds = data.generate_synthetic(5, 4, 400, 3.0, seed=200)
             plan = data.partition_dirichlet(
-                ds, data.DirichletConfig(alpha=1e6, clients=8), seed=200
+                ds, alpha=1e6, clients=8, min_samples=64, max_redraws=100, seed=200
             )
             uniform = 1.0 / 8
             for indices in plan.assignments:
@@ -398,12 +395,8 @@ class TestDirichletPartitioner:
                 )
                 min_samples = max(1, (classes * per_class) // (clients * 8))
                 plan = data.partition_dirichlet(
-                    ds,
-                    data.DirichletConfig(
-                        alpha=alpha, clients=clients,
-                        min_samples_per_client=min_samples,
-                    ),
-                    seed=int(rng.integers(1 << 30)),
+                    ds, alpha=alpha, clients=clients, min_samples=min_samples,
+                    max_redraws=100, seed=int(rng.integers(1 << 30)),
                 )
                 joined = np.concatenate(plan.assignments)
                 assert len(joined) == len(np.unique(joined))

@@ -123,30 +123,32 @@ class TestDirichletPartition:
         rng = np.random.default_rng(42)
         ds = balanced_dataset(classes=6, per_class=200)
         for _ in range(25):
-            cfg = data.DirichletConfig(
+            cfg = dict(
                 alpha=float(rng.uniform(0.05, 5.0)),
                 clients=int(rng.integers(2, 9)),
-                min_samples_per_client=int(rng.integers(1, 40)),
+                min_samples=int(rng.integers(1, 40)),
+                max_redraws=100,
             )
-            plan = data.partition_dirichlet(ds, cfg, seed=int(rng.integers(1 << 30)))
+            plan = data.partition_dirichlet(ds, **cfg, seed=int(rng.integers(1 << 30)))
             merged = np.concatenate(plan.assignments)
             assert len(np.unique(merged)) == len(merged)
             assert merged.min() >= 0 and merged.max() < len(ds)
-            assert min(plan.sizes()) >= cfg.min_samples_per_client
+            assert min(plan.sizes()) >= cfg["min_samples"]
 
     def test_deterministic(self):
         ds = balanced_dataset()
-        cfg = data.DirichletConfig(alpha=0.3, clients=5)
-        a = data.partition_dirichlet(ds, cfg, seed=77)
-        b = data.partition_dirichlet(ds, cfg, seed=77)
+        cfg = dict(alpha=0.3, clients=5, min_samples=64, max_redraws=100)
+        a = data.partition_dirichlet(ds, **cfg, seed=77)
+        b = data.partition_dirichlet(ds, **cfg, seed=77)
         for left, right in zip(a.assignments, b.assignments):
             assert_array_equal(left, right)
 
     def test_huge_alpha_is_near_uniform(self):
         """Concentration limit: every per-class share within 20% of 1/R."""
         ds = balanced_dataset()
-        cfg = data.DirichletConfig(alpha=1e6, clients=10)
-        plan = data.partition_dirichlet(ds, cfg, seed=200)
+        plan = data.partition_dirichlet(
+            ds, alpha=1e6, clients=10, min_samples=64, max_redraws=100, seed=200
+        )
         class_totals = np.bincount(ds.labels, minlength=10)
         for idx in plan.assignments:
             shares = np.bincount(ds.labels[idx], minlength=10) / class_totals
@@ -155,8 +157,9 @@ class TestDirichletPartition:
     def test_small_alpha_concentrates(self):
         """At alpha=0.05 some client draws >=80% of its shard from <=2 classes."""
         ds = balanced_dataset()
-        cfg = data.DirichletConfig(alpha=0.05, clients=10, min_samples_per_client=10)
-        plan = data.partition_dirichlet(ds, cfg, seed=200)
+        plan = data.partition_dirichlet(
+            ds, alpha=0.05, clients=10, min_samples=10, max_redraws=100, seed=200
+        )
         top2 = []
         for idx in plan.assignments:
             counts = np.sort(np.bincount(ds.labels[idx], minlength=10))[::-1]
@@ -167,8 +170,9 @@ class TestDirichletPartition:
         ds = balanced_dataset()
         means = []
         for alpha in (0.05, 0.5, 5.0, 500.0):
-            cfg = data.DirichletConfig(alpha=alpha, clients=10, min_samples_per_client=10)
-            plan = data.partition_dirichlet(ds, cfg, seed=300)
+            plan = data.partition_dirichlet(
+                ds, alpha=alpha, clients=10, min_samples=10, max_redraws=100, seed=300
+            )
             shares = [
                 np.bincount(ds.labels[idx], minlength=10).max() / len(idx)
                 for idx in plan.assignments
@@ -178,25 +182,27 @@ class TestDirichletPartition:
 
     def test_impossible_minimum_rejected(self):
         ds = balanced_dataset(classes=3, per_class=30)
-        cfg = data.DirichletConfig(alpha=1.0, clients=4, min_samples_per_client=64)
         with pytest.raises(ValueError, match="cannot give"):
-            data.partition_dirichlet(ds, cfg, seed=0)
+            data.partition_dirichlet(
+                ds, alpha=1.0, clients=4, min_samples=64, max_redraws=100, seed=0
+            )
 
     def test_unsatisfiable_draws_exhaust_redraws(self):
         # feasible in total count, but alpha this small essentially never
         # spreads 2 classes evenly enough over 6 clients
         ds = balanced_dataset(classes=2, per_class=120)
-        cfg = data.DirichletConfig(
-            alpha=0.01, clients=6, min_samples_per_client=39, max_redraws=5
-        )
         with pytest.raises(ValueError, match="attempts"):
-            data.partition_dirichlet(ds, cfg, seed=1)
+            data.partition_dirichlet(
+                ds, alpha=0.01, clients=6, min_samples=39, max_redraws=5, seed=1
+            )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="alpha"):
-            data.DirichletConfig(alpha=0.0, clients=3)
-        with pytest.raises(ValueError, match="clients"):
-            data.DirichletConfig(alpha=1.0, clients=1)
+        ds = balanced_dataset()
+        valid = dict(alpha=1.0, clients=3, min_samples=1, max_redraws=0, seed=0)
+        for name, value in (("alpha", 0.0), ("clients", 1), ("min_samples", 0),
+                            ("max_redraws", -1)):
+            with pytest.raises(ValueError, match=name):
+                data.partition_dirichlet(ds, **{**valid, name: value})
 
 
 class TestLabelSplitPartition:

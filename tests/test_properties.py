@@ -74,8 +74,9 @@ class TestPartitioners:
         self, classes, per_class, clients, alpha, seed
     ):
         ds = labelled_dataset(classes, per_class)
-        cfg = data.DirichletConfig(alpha=alpha, clients=clients, min_samples_per_client=1)
-        plan = data.partition_dirichlet(ds, cfg, seed)
+        plan = data.partition_dirichlet(
+            ds, alpha=alpha, clients=clients, min_samples=1, max_redraws=100, seed=seed
+        )
         merged = np.concatenate(plan.assignments)
         assert len(np.unique(merged)) == len(merged)
         np.testing.assert_array_equal(np.sort(merged), np.arange(len(ds)))

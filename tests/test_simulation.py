@@ -34,18 +34,16 @@ def build_federation(
         seeds = [100 + i for i in range(num_clients)]
     spec = nn.ModelSpec((6, hidden, 3))
     params = nn.init_model(spec, seed + 2)
-    server = simulation.ServerState(
-        spec=spec,
-        params=params,
-        strategy=strategies.StrategyConfig(kind=kind),
-        normalize=normalize,
-    )
     clients = [simulation.ClientState(i, shards[i], seeds[i]) for i in range(num_clients)]
     return simulation.Federation(
         train=train,
         test=test,
         clients=clients,
-        server=server,
+        server=simulation.ServerState(params),
+        spec=spec,
+        strategy=strategies.StrategyConfig(kind=kind),
+        normalize=normalize,
+        temperature=0.5,
         epochs=epochs,
         batch_size=batch_size,
         optimizer=optimizer or nn.OptimizerState(),
@@ -114,7 +112,7 @@ class TestLocalTrain:
         client = fed.clients[1]
         update = fed._train_one(client, latent=True)
         shard = fed.train.features[client.indices]
-        assert_array_equal(update.z, nn.mean_latent(fed.server.spec, update.weights, shard))
+        assert_array_equal(update.z, nn.mean_latent(fed.spec, update.weights, shard))
         plain = fed._train_one(client, latent=False)
         assert plain.z is None
         assert_array_equal(plain.weights, update.weights)
@@ -270,13 +268,13 @@ class TestLocalTrainReference:
         ds, spec, params, client = self.setup(activation, wide)
         rng = np.random.default_rng(33)
         optimizer = nn.OptimizerState(kind=kind, lr=lr)
-        server = simulation.ServerState(
-            spec=spec, params=params, strategy=strategy, normalize=True, round_index=4
-        )
+        server = simulation.ServerState(params, round_index=4)
         # the rule keeps per-client memory for as many clients as the list holds
         fed = simulation.Federation(
             train=ds, test=ds, clients=[client] * (client.client_id + 1), server=server,
-            epochs=2, batch_size=16, optimizer=optimizer,
+            spec=spec, strategy=strategy, normalize=True, temperature=0.5,
+            epochs=2, batch_size=16, optimizer=optimizer, participation=1.0, seed=0,
+            workers=1,
         )
         rule = fed.rule
         formulas = {}
@@ -360,7 +358,7 @@ class TestRunRound:
         broadcast = fed.server.params.copy()
         expected_updates = [
             simulation.local_train(
-                fed.server.spec, fed.train, client, broadcast,
+                fed.spec, fed.train, client, broadcast,
                 epochs=fed.epochs, batch_size=fed.batch_size,
                 optimizer=fed.optimizer, round_index=0,
             )
@@ -504,7 +502,7 @@ class TestRunExperiment:
         result = simulation.run_experiment(self.base_config())
         assert [r.round_index for r in result.reports] == [0, 1]
         assert np.isfinite(result.reports[-1].accuracy)
-        assert result.federation.server.spec.layer_sizes == (6, 8, 4)
+        assert result.federation.spec.layer_sizes == (6, 8, 4)
 
     def test_label_split_experiment_runs(self):
         result = simulation.run_experiment(
