@@ -186,18 +186,14 @@ class SGDM(FedAvg):
         self.momentum = np.zeros(len(params))
 
     def fold(self, global_params, updates, u):
-        lr, beta = self.cfg.server_lr, self.cfg.beta
+        cfg = self.cfg
         avg = super().fold(global_params, updates, u)
         delta = global_params - avg
-        m = self.momentum
-        # avg + (1-lr)*delta - (lr*beta)*m, rearranged from g - lr*(beta*m + delta)
-        # so that beta=0, lr=1 lands bitwise on the plain weighted average
-        out = delta * (1.0 - lr)
-        out += avg
-        out -= m * (lr * beta)
-        m *= beta
-        m += delta
-        return out
+        m_prev = self.momentum
+        self.momentum = cfg.beta * m_prev + delta
+        # rearranged from g - lr*(beta*m + delta) so that beta=0, lr=1 lands
+        # bitwise on the plain weighted average
+        return avg + (1.0 - cfg.server_lr) * delta - (cfg.server_lr * cfg.beta) * m_prev
 
 
 class FedNova(FedAvg):
@@ -209,15 +205,9 @@ class FedNova(FedAvg):
             raise ValueError(f"client step counts must be positive, got {taus}")
         tau_eff = float(u @ taus)
         direction = np.zeros_like(global_params)
-        # direction += weight * (g - w_r) / tau_r, through one scratch vector
-        scratch = np.empty_like(global_params)
         for weight, up, tau in zip(u, updates, taus):
-            np.subtract(global_params, up.weights, out=scratch)
-            scratch *= weight
-            scratch /= tau
-            direction += scratch
-        direction *= tau_eff
-        return np.subtract(global_params, direction, out=direction)
+            direction += weight * (global_params - up.weights) / tau
+        return global_params - tau_eff * direction
 
 
 class FedBABU(FedAvg):
