@@ -2,8 +2,9 @@
 
 ``run`` executes a JSON-configured experiment, streaming one metrics.csv row
 per participating client per round plus a client_id=-1 summary row, and writes
-run.json only after the whole run succeeded.  ``compare`` reads two such
-output directories and reports accuracy deltas and rounds-to-target.
+run.json only after the whole run succeeded; an earlier run's run.json is
+removed first.  ``compare`` reads two such output directories and reports
+accuracy deltas and rounds-to-target.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def cmd_run(args) -> int:
     cfg = config_mod.load(args.config, args)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's summary must not sit beside this run's metrics if it fails
+    (outdir / "run.json").unlink(missing_ok=True)
     started = time.perf_counter()
     reports = []
     with open(outdir / "metrics.csv", "w", newline="") as fh:

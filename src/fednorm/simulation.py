@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
 from . import contribution, data, nn, strategies
+from .config import RunConfig
 
 
 @dataclass
@@ -30,7 +31,7 @@ class ClientState:
 @dataclass
 class ServerState:
     """What changes from round to round: the global model and the round count.
-    The run's fixed settings live on ``Federation``."""
+    The run's fixed settings are ``Federation.config``."""
 
     params: np.ndarray
     round_index: int = 0
@@ -116,40 +117,40 @@ def local_train(
 
 @dataclass
 class Federation:
-    """The full simulation: datasets, clients, server state, the run's fixed
-    settings (no defaults: those are ``config.RunConfig``'s) and the rule,
-    which alone holds the strategy config, as ``rule.cfg``."""
+    """The full simulation: the run's ``RunConfig``, whose settings it reads,
+    datasets, clients, server state and model shape.  The rule, which alone
+    holds the strategy's state, the local-optimizer template and the
+    sampling seed are derived from the config once."""
 
+    config: RunConfig
     train: data.Dataset
     test: data.Dataset
     clients: list[ClientState]
     server: ServerState
     spec: nn.ModelSpec
-    strategy: InitVar[strategies.StrategyConfig]
-    normalize: bool
-    temperature: float
-    epochs: int
-    batch_size: int
-    optimizer: nn.OptimizerState
-    participation: float
-    seed: int
-    workers: int
     rule: strategies.FedAvg = field(init=False, repr=False)
+    local_optimizer: nn.OptimizerState = field(init=False, repr=False)
+    sample_seed: int = field(init=False, repr=False)
 
-    def __post_init__(self, strategy: strategies.StrategyConfig):
-        if not 0.0 < self.participation <= 1.0:
-            raise ValueError(f"participation must be in (0, 1], got {self.participation}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        self.rule = strategies.RULES[strategy.kind](
-            strategy, self.spec, self.server.params, len(self.clients), self.optimizer
+    def __post_init__(self):
+        config = self.config
+        # a RunConfig built in Python skips from_dict's key checks
+        if not 0.0 < config.participation <= 1.0:
+            raise ValueError(f"participation must be in (0, 1], got {config.participation}")
+        if config.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {config.workers}")
+        self.local_optimizer = nn.OptimizerState(config.optimizer.kind, config.optimizer.lr)
+        self.rule = strategies.RULES[config.strategy.kind](
+            config.strategy, self.spec, self.server.params, len(self.clients),
+            self.local_optimizer,
         )
+        self.sample_seed = _derive_seed(config.seed, _TAG_SAMPLE)[0]
 
     def _sample_participants(self, round_index: int) -> list[ClientState]:
         total = len(self.clients)
         # fewest clients whose share reaches it; a ceil oversamples (0.07 * 100 > 7)
-        k = next(k for k in range(1, total + 1) if k / total >= self.participation)
-        rng = np.random.default_rng([self.seed, round_index])
+        k = next(k for k in range(1, total + 1) if k / total >= self.config.participation)
+        rng = np.random.default_rng([self.sample_seed, round_index])
         chosen = np.sort(rng.choice(total, size=k, replace=False))
         return [self.clients[i] for i in chosen]
 
@@ -162,9 +163,9 @@ class Federation:
             self.train,
             client,
             server.params,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            optimizer=self.optimizer,
+            epochs=self.config.epochs,
+            batch_size=self.config.batch_size,
+            optimizer=self.local_optimizer,
             round_index=server.round_index,
             adjust=self.rule.hooks(server.params, client.client_id),
         )
@@ -180,9 +181,9 @@ class Federation:
         participants = self._sample_participants(server.round_index)
         # a lone participant has no similarity structure to exploit, so its
         # latent would never be read
-        normalize = self.normalize and len(participants) >= 2
-        if self.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+        normalize = self.config.normalize and len(participants) >= 2
+        if self.config.workers > 1:
+            with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
                 updates = list(pool.map(self._train_one, participants, repeat(normalize)))
         else:
             updates = [self._train_one(c, normalize) for c in participants]
@@ -191,7 +192,7 @@ class Federation:
         if normalize:
             latents = [contribution.MeanLatent(up.client_id, up.z) for up in updates]
             similarity = contribution.similarity_matrix(latents)
-            lam = contribution.contribution_factors(similarity, self.temperature)
+            lam = contribution.contribution_factors(similarity, self.config.temperature)
             u = contribution.normalize_weights(lam, nu)
         else:
             # the reported factor is the uniform value, matching what the
@@ -249,7 +250,7 @@ def _derive_seed(master: int, tag: int, count: int = 1) -> list[int]:
     return [int(s) for s in state]
 
 
-def run_experiment(config, on_report=None) -> ExperimentResult:
+def run_experiment(config: RunConfig, on_report=None) -> ExperimentResult:
     """Build the whole federation from a RunConfig and run every round."""
     master = config.seed
     # no name holds the unsplit dataset, so it is freed once the split returns
@@ -269,22 +270,7 @@ def run_experiment(config, on_report=None) -> ExperimentResult:
         ClientState(r, plan.assignments[r], client_seeds[r])
         for r in range(plan.num_clients)
     ]
-    federation = Federation(
-        train=train,
-        test=test,
-        clients=clients,
-        server=ServerState(params),
-        spec=spec,
-        strategy=config.strategy,
-        normalize=config.normalize,
-        temperature=config.temperature,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        optimizer=nn.OptimizerState(kind=config.optimizer.kind, lr=config.optimizer.lr),
-        participation=config.participation,
-        seed=_derive_seed(master, _TAG_SAMPLE)[0],
-        workers=config.workers,
-    )
+    federation = Federation(config, train, test, clients, ServerState(params), spec)
     reports = federation.run(config.rounds, on_report)
     return ExperimentResult(reports=reports, federation=federation)
 

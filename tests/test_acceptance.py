@@ -104,7 +104,7 @@ class TestFactorAlgebra:
 
 
 class TestHomogeneityNoOp:
-    def test_identical_latents_change_nothing(self):
+    def test_identical_latents_change_nothing(self, build_federation):
         """Identical latents leave uniform importance weights untouched, and a
         normalized 10-client 5-round run matches the plain run bit for bit."""
         with criterion("homogeneity no-op", budget_s=30.0):
@@ -118,21 +118,9 @@ class TestHomogeneityNoOp:
             assert_array_equal(contribution.normalize_weights(lam, nu), nu)
 
             def shared_shard_federation(normalize):
-                ds = data.generate_synthetic(3, 6, 40, 3.0, seed=42)
-                train, test = data.train_test_split(ds, 0.25, 43)
-                spec = nn.ModelSpec((6, 16, 3))
-                params = nn.init_model(spec, 44)
-                clients = [
-                    simulation.ClientState(i, np.arange(len(train)), seed=77)
-                    for i in range(10)
-                ]
-                return simulation.Federation(
-                    train=train, test=test, clients=clients,
-                    server=simulation.ServerState(params), spec=spec,
-                    strategy=strategies.StrategyConfig(), normalize=normalize,
-                    temperature=0.5, epochs=2, batch_size=64,
-                    optimizer=nn.OptimizerState(), participation=1.0, seed=45,
-                    workers=1,
+                return build_federation(
+                    normalize=normalize, seed=42, hidden=16, num_clients=10,
+                    shared_shards=True, shared_client_seed=77, epochs=2, batch_size=64,
                 )
 
             scaled = shared_shard_federation(True)
@@ -227,7 +215,7 @@ class TestGradientCheck:
 
 
 class TestStrategyReductions:
-    def test_special_cases_collapse_to_fedavg(self):
+    def test_special_cases_collapse_to_fedavg(self, build_federation):
         """Each strategy's neutral setting reproduces plain averaging."""
         with criterion("strategy reductions", budget_s=60.0):
             rng = np.random.default_rng(1007)
@@ -274,25 +262,7 @@ class TestStrategyReductions:
             assert_array_equal(prox.weights, plain.weights)
 
             # frozen head preserved across a 10-round run
-            def federation(kind, optimizer=None, seed=60):
-                ds = data.generate_synthetic(3, 6, 40, 3.0, seed=seed)
-                train, test = data.train_test_split(ds, 0.25, seed + 1)
-                spec = nn.ModelSpec((6, 8, 3))
-                params = nn.init_model(spec, seed + 2)
-                shards = np.array_split(np.arange(len(train)), 4)
-                clients = [
-                    simulation.ClientState(i, shards[i], 100 + i) for i in range(4)
-                ]
-                return simulation.Federation(
-                    train=train, test=test, clients=clients,
-                    server=simulation.ServerState(params), spec=spec,
-                    strategy=strategies.StrategyConfig(kind=kind), normalize=False,
-                    temperature=0.5, epochs=2, batch_size=64,
-                    optimizer=optimizer or nn.OptimizerState(), participation=1.0,
-                    seed=seed + 3, workers=1,
-                )
-
-            fed = federation("fedbabu")
+            fed = build_federation("fedbabu", seed=60, epochs=2, batch_size=64)
             head = fed.rule.head
             initial_head = fed.server.params[head].copy()
             for _ in range(10):

@@ -91,6 +91,20 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_failed_run_leaves_no_earlier_run_json(self, tmp_path, capsys):
+        """run.json vouches for the metrics.csv beside it, so a diverging run
+        into the directory of a finished one must not leave the old file."""
+        assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 0
+        assert (tmp_path / "out" / "run.json").exists()
+        diverging = write_config(
+            tmp_path, name="diverging.json", optimizer={"kind": "sgd", "lr": 1e300}
+        )
+        assert cli.main(["run", "--config", str(diverging)]) == 1
+        assert "diverged" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run.json").exists()
+
     def test_non_finite_number_fails_before_writing(self, tmp_path, capsys):
         path = write_config(tmp_path)
         path.write_text(path.read_text().replace('"epochs": 1', '"test_fraction": NaN'))

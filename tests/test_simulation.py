@@ -10,49 +10,6 @@ from fednorm import config as cfg
 from fednorm import data, nn, simulation, strategies
 
 
-def build_federation(
-    kind="fedavg",
-    normalize=False,
-    num_clients=4,
-    optimizer=None,
-    seed=0,
-    participation=1.0,
-    workers=1,
-    shared_shards=False,
-    epochs=1,
-    batch_size=32,
-    hidden=8,
-):
-    """Small hand-wired federation on a synthetic 3-class problem."""
-    ds = data.generate_synthetic(3, 6, 40, 3.0, seed=seed)
-    train, test = data.train_test_split(ds, 0.25, seed + 1)
-    if shared_shards:
-        shards = [np.arange(len(train))] * num_clients
-        seeds = [100] * num_clients
-    else:
-        shards = np.array_split(np.arange(len(train)), num_clients)
-        seeds = [100 + i for i in range(num_clients)]
-    spec = nn.ModelSpec((6, hidden, 3))
-    params = nn.init_model(spec, seed + 2)
-    clients = [simulation.ClientState(i, shards[i], seeds[i]) for i in range(num_clients)]
-    return simulation.Federation(
-        train=train,
-        test=test,
-        clients=clients,
-        server=simulation.ServerState(params),
-        spec=spec,
-        strategy=strategies.StrategyConfig(kind=kind),
-        normalize=normalize,
-        temperature=0.5,
-        epochs=epochs,
-        batch_size=batch_size,
-        optimizer=optimizer or nn.OptimizerState(),
-        participation=participation,
-        seed=seed + 3,
-        workers=workers,
-    )
-
-
 def strip_durations(reports):
     return [
         (r.round_index, r.accuracy, r.loss, [vars(c) for c in r.clients]) for r in reports
@@ -104,7 +61,7 @@ class TestLocalTrain:
         assert update.tau == 4  # ceil(100/64) batches per epoch, twice
         assert update.n == 100
 
-    def test_latent_summary_taken_after_final_epoch(self):
+    def test_latent_summary_taken_after_final_epoch(self, build_federation):
         """Asked for, the mean latent is that of the trained weights over the
         whole shard; otherwise the update carries none and its weights are
         the same."""
@@ -267,14 +224,14 @@ class TestLocalTrainReference:
         also takes the client's mean latent."""
         ds, spec, params, client = self.setup(activation, wide)
         rng = np.random.default_rng(33)
-        optimizer = nn.OptimizerState(kind=kind, lr=lr)
+        config = cfg.RunConfig(
+            dataset=cfg.SyntheticData(), strategy=strategy,
+            optimizer=cfg.OptimizerSettings(kind=kind, lr=lr), epochs=2, batch_size=16,
+        )
         server = simulation.ServerState(params, round_index=4)
         # the rule keeps per-client memory for as many clients as the list holds
         fed = simulation.Federation(
-            train=ds, test=ds, clients=[client] * (client.client_id + 1), server=server,
-            spec=spec, strategy=strategy, normalize=True, temperature=0.5,
-            epochs=2, batch_size=16, optimizer=optimizer, participation=1.0, seed=0,
-            workers=1,
+            config, ds, ds, [client] * (client.client_id + 1), server, spec
         )
         rule = fed.rule
         formulas = {}
@@ -329,8 +286,24 @@ class TestLocalTrainReference:
         assert not np.array_equal(params, in_turn[0].weights)
 
 
+class TestFederationChecks:
+    """A RunConfig built in Python skips ``from_dict``'s key checks, so the
+    federation checks the two settings that would otherwise fail late."""
+
+    @pytest.mark.parametrize("participation", [0.0, 1.5, float("nan")])
+    def test_participation_outside_the_unit_interval_is_named(
+        self, build_federation, participation
+    ):
+        with pytest.raises(ValueError, match="participation"):
+            build_federation(participation=participation)
+
+    def test_zero_workers_is_named(self, build_federation):
+        with pytest.raises(ValueError, match="workers"):
+            build_federation(workers=0)
+
+
 class TestRunRound:
-    def test_report_shape_and_weight_identities(self):
+    def test_report_shape_and_weight_identities(self, build_federation):
         fed = build_federation(normalize=True)
         report = fed.run_round()
         assert report.round_index == 0
@@ -346,21 +319,21 @@ class TestRunRound:
         for c in report.clients:
             assert -1.0 <= c.cos_local_global <= 1.0
 
-    def test_normalization_off_reports_importance_as_final(self):
+    def test_normalization_off_reports_importance_as_final(self, build_federation):
         fed = build_federation(normalize=False)
         report = fed.run_round()
         for c in report.clients:
             assert c.u == c.nu
             assert c.lam == 0.75  # uniform fallback value 1 - 1/k
 
-    def test_fedavg_round_is_importance_weighted_mean(self):
+    def test_fedavg_round_is_importance_weighted_mean(self, build_federation):
         fed = build_federation(normalize=False)
         broadcast = fed.server.params.copy()
         expected_updates = [
             simulation.local_train(
                 fed.spec, fed.train, client, broadcast,
-                epochs=fed.epochs, batch_size=fed.batch_size,
-                optimizer=fed.optimizer, round_index=0,
+                epochs=fed.config.epochs, batch_size=fed.config.batch_size,
+                optimizer=fed.local_optimizer, round_index=0,
             )
             for client in fed.clients
         ]
@@ -369,7 +342,7 @@ class TestRunRound:
         fed.run_round()
         assert_allclose(fed.server.params, expected, rtol=0, atol=1e-12)
 
-    def test_partial_participation_samples_deterministically(self):
+    def test_partial_participation_samples_deterministically(self, build_federation):
         fed = build_federation(num_clients=10, participation=0.5)
         twin = build_federation(num_clients=10, participation=0.5)
         seen = []
@@ -385,7 +358,9 @@ class TestRunRound:
         "participation, total, expected",
         [(0.07, 100, 7), (0.55, 100, 55), (0.28, 25, 7), (0.25, 200, 50), (0.3, 4, 2)],
     )
-    def test_participation_share_samples_that_many_clients(self, participation, total, expected):
+    def test_participation_share_samples_that_many_clients(
+        self, build_federation, participation, total, expected
+    ):
         """A share k/total samples exactly k clients, although the float
         product overshoots k for the first three; a share between two counts
         rounds up."""
@@ -398,7 +373,7 @@ class TestRunRound:
         ids=["False-0", "True-3", "True-lone-0"],
     )
     def test_mean_latent_is_taken_only_when_normalizing(
-        self, monkeypatch, normalize, participation, per_round
+        self, build_federation, monkeypatch, normalize, participation, per_round
     ):
         """Only a normalizing round of two or more clients reads the latents,
         so a lone participant's is never taken."""
@@ -415,19 +390,19 @@ class TestRunRound:
             fed.run_round()
             assert len(calls) == per_round * round_index
 
-    def test_rounds_zero_is_a_no_op(self):
+    def test_rounds_zero_is_a_no_op(self, build_federation):
         fed = build_federation()
         before = fed.server.params.copy()
         assert fed.run(0) == []
         assert_array_equal(fed.server.params, before)
 
-    def test_scaffold_demands_sgd_at_construction(self):
+    def test_scaffold_demands_sgd_at_construction(self, build_federation):
         with pytest.raises(ValueError, match="sgd"):
             build_federation(kind="scaffold")
 
-    def test_scaffold_round_updates_server_variate(self):
+    def test_scaffold_round_updates_server_variate(self, build_federation):
         fed = build_federation(
-            kind="scaffold", optimizer=nn.OptimizerState(kind="sgd", lr=0.05)
+            kind="scaffold", optimizer=cfg.OptimizerSettings(kind="sgd", lr=0.05)
         )
         assert_array_equal(fed.rule.c, 0.0)
         fed.run_round()
@@ -437,7 +412,7 @@ class TestRunRound:
 
 
 class TestDeterminism:
-    def test_identical_seeds_reproduce_the_run(self):
+    def test_identical_seeds_reproduce_the_run(self, build_federation):
         a = build_federation(normalize=True, seed=5)
         b = build_federation(normalize=True, seed=5)
         ra = a.run(3)
@@ -453,9 +428,11 @@ class TestDeterminism:
         + [pytest.param("fedprox", dict(hidden=4096, batch_size=4, epochs=2), 2,
                         id="fedprox-wide")],
     )
-    def test_thread_pool_matches_serial_bitwise(self, kind, shape, workers):
+    def test_thread_pool_matches_serial_bitwise(
+        self, build_federation, kind, shape, workers
+    ):
         # scaffold's variate update divides by the local rate of plain sgd
-        optimizer = nn.OptimizerState(kind="sgd", lr=0.05) if kind == "scaffold" else None
+        optimizer = cfg.OptimizerSettings(kind="sgd", lr=0.05) if kind == "scaffold" else None
         common = dict(
             kind=kind, normalize=True, num_clients=6, seed=9, optimizer=optimizer, **shape
         )
@@ -466,7 +443,7 @@ class TestDeterminism:
         assert_array_equal(serial.server.params, pooled.server.params)
         assert strip_durations(rs) == strip_durations(rp)
 
-    def test_identical_clients_make_normalization_inert(self):
+    def test_identical_clients_make_normalization_inert(self, build_federation):
         """Clients with the same shard and seed produce identical updates, so
         the similarity rescaling must reproduce the plain run bit for bit."""
         plain = build_federation(normalize=False, shared_shards=True, seed=3)
@@ -520,6 +497,16 @@ class TestRunExperiment:
             first.federation.server.params, second.federation.server.params
         )
         assert strip_durations(first.reports) == strip_durations(second.reports)
+
+    def test_participants_are_drawn_from_the_master_seed(self):
+        """The draw depends only on the master seed, the round and the client
+        count; these ids pin the sampling seed derived from the master."""
+        result = simulation.run_experiment(
+            self.base_config(seed=0, clients=10, participation=0.5, rounds=4)
+        )
+        assert [[c.client_id for c in r.clients] for r in result.reports] == [
+            [0, 1, 5, 7, 9], [1, 2, 3, 4, 5], [2, 4, 5, 7, 9], [0, 2, 4, 5, 9],
+        ]
 
     def test_unsplit_dataset_is_freed_before_the_first_round(self, monkeypatch):
         """Only the train and test parts outlive the split."""
