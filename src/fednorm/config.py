@@ -199,7 +199,6 @@ class RunConfig:
     temperature: float = _key(0.5, _as_real, positive=True)
     seed: int = _key(0, _as_int, minimum=0)
     test_fraction: float = _key(0.2, _as_real, low=0.0, low_open=True, high=1.0, high_open=True)
-    workers: int = _key(1, _as_int, minimum=1)
     out: str = "runs/out"
 
     def to_dict(self) -> dict:

@@ -247,10 +247,12 @@ def loss_and_grad(spec, params, x, y, *, out=None):
 class OptimizerState:
     """Hyperparameters plus per-run mutable buffers of one local optimizer.
 
-    The moment buffers ``m``/``v`` are allocated on the first step and updated
-    in place afterwards; so are the ``scratch`` arrays of the update, which
-    hold one block of at most ``BLOCK`` elements.  ``fresh()`` hands out a
-    copy with cleared buffers for the next client round.
+    The moment buffers ``m``/``v`` are allocated on the first step, or by
+    ``fresh(size)``, and updated in place afterwards; so are the ``scratch``
+    arrays of the update, which hold one block of at most ``BLOCK`` elements.
+    ``fresh()`` hands out a copy with cleared buffers; ``reset()`` clears a
+    state's own buffers in place, so that one state serves client after
+    client.
     """
 
     kind: str = "adam"
@@ -268,8 +270,27 @@ class OptimizerState:
         if not self.lr > 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
 
-    def fresh(self) -> "OptimizerState":
-        return replace(self, m=None, v=None, step=0)
+    def fresh(self, size: int | None = None) -> "OptimizerState":
+        """A copy at step 0 with no buffers, or, given the parameter count
+        ``size``, with every buffer allocated now and zeroed."""
+        state = replace(self, m=None, v=None, step=0)
+        if size is not None:
+            if state.kind == "adam":
+                state.m, state.v = np.zeros(size), np.zeros(size)
+            state.scratch = _block_scratch(state.kind, size)
+        return state
+
+    def reset(self):
+        """Back to step 0 with zeroed moments, keeping every buffer."""
+        for moment in (self.m, self.v):
+            if moment is not None:
+                moment.fill(0.0)
+        self.step = 0
+
+
+def _block_scratch(kind: str, size: int) -> tuple[np.ndarray, ...]:
+    count = 1 if kind == "sgd" else 2
+    return tuple(np.empty(min(size, BLOCK)) for _ in range(count))
 
 
 def optimizer_step(params, grad, state: OptimizerState):
@@ -285,8 +306,7 @@ def optimizer_step(params, grad, state: OptimizerState):
     """
     t = state.step + 1
     if state.scratch is None:
-        count = 1 if state.kind == "sgd" else 2
-        state.scratch = tuple(np.empty(min(len(params), BLOCK)) for _ in range(count))
+        state.scratch = _block_scratch(state.kind, len(params))
     if state.kind == "adam":
         if state.m is None:
             state.m = np.zeros_like(params)

@@ -8,10 +8,12 @@ changing results, and toggling normalization cannot perturb the training path.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -64,6 +66,31 @@ def evaluate(spec: nn.ModelSpec, params: np.ndarray, dataset: data.Dataset):
     return accuracy, nn.cross_entropy(logits, dataset.labels)
 
 
+@dataclass
+class Workspace:
+    """One training thread's buffers, reused client after client and round
+    after round: the gradient, the local optimizer's state and one minibatch
+    of features and labels.  The thread that runs the federation makes them,
+    so that no training thread allocates an array of parameter size."""
+
+    grad: np.ndarray
+    optimizer: nn.OptimizerState
+    features: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def create(cls, spec: nn.ModelSpec, optimizer: nn.OptimizerState, rows: int) -> Workspace:
+        """Buffers for training ``spec`` with a fresh copy of the template
+        ``optimizer`` on minibatches of at most ``rows`` rows."""
+        size = spec.param_count()
+        return cls(
+            np.empty(size),
+            optimizer.fresh(size),
+            np.empty((rows, spec.input_dim)),
+            np.empty(rows, dtype=np.int64),
+        )
+
+
 def local_train(
     spec: nn.ModelSpec,
     dataset: data.Dataset,
@@ -72,37 +99,56 @@ def local_train(
     *,
     epochs: int,
     batch_size: int,
-    optimizer: nn.OptimizerState,
     round_index: int,
+    workspace: Workspace,
     adjust: strategies.Adjust | None = None,
+    out: np.ndarray | None = None,
 ) -> strategies.ClientUpdate:
     """Run one client's local epochs and package its update.
 
     Epochs iterate the full shard in shuffled minibatches; the shuffle depends
-    only on (client seed, round).  ``adjust``, the rule's hook, edits every
-    minibatch gradient in place.  The update carries no mean latent.
+    only on (client seed, round).  Each minibatch is gathered into
+    ``workspace``, whose gradient and optimizer state serve every step, and
+    the weights are trained in ``out``, a new vector if None: beyond ``out``
+    a call allocates nothing of parameter or shard size.  ``adjust``, the
+    rule's hook, edits every minibatch gradient in place.  The update carries
+    no mean latent.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = len(client.indices)
+    indices = client.indices
+    n = len(indices)
     if n == 0:
         raise ValueError(f"client {client.client_id} has an empty shard")
+    if indices.min() < 0 or indices.max() >= len(dataset.labels):
+        raise ValueError(
+            f"client {client.client_id} has rows outside the {len(dataset.labels)}-row dataset"
+        )
+    if workspace.features.shape[0] < min(batch_size, n):
+        raise ValueError(
+            f"workspace holds {workspace.features.shape[0]} rows, "
+            f"a minibatch needs {min(batch_size, n)}"
+        )
 
-    # the step updates this copy in place; one gradient buffer serves every step
-    params = global_params.copy()
-    grad = np.empty_like(params)
-    opt = optimizer.fresh()
+    params = np.empty_like(global_params) if out is None else out
+    np.copyto(params, global_params)
+    grad, opt = workspace.grad, workspace.optimizer
+    opt.reset()
     rng = np.random.default_rng([client.seed, round_index])
     steps = 0
     for _ in range(epochs):
-        rows = client.indices[rng.permutation(n)]
-        x_epoch, y_epoch = dataset.features[rows], dataset.labels[rows]
+        order = indices[rng.permutation(n)]
         for start in range(0, n, batch_size):
-            stop = start + batch_size
+            rows = order[start : start + batch_size]
+            # the range is checked above, so "clip" moves no index; unlike
+            # "raise" it writes straight into the workspace, not via a copy
+            m = len(rows)
+            x = np.take(dataset.features, rows, axis=0, out=workspace.features[:m], mode="clip")
+            y = np.take(dataset.labels, rows, out=workspace.labels[:m], mode="clip")
             try:
-                nn.loss_and_grad(spec, params, x_epoch[start:stop], y_epoch[start:stop], out=grad)
+                nn.loss_and_grad(spec, params, x, y, out=grad)
                 if adjust is not None:
                     adjust(params, grad)
                 params, opt = nn.optimizer_step(params, grad, opt)
@@ -115,12 +161,56 @@ def local_train(
     return strategies.ClientUpdate(client_id=client.client_id, weights=params, n=n, tau=steps)
 
 
+# names under which numpy's OpenBLAS builds export their thread-count getter
+_OPENBLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def blas_threads() -> int | None:
+    """Thread count of the OpenBLAS numpy is linked against, None if unknown."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    # dlsym on numpy's extension also searches the libraries it links
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for symbol in _OPENBLAS_THREAD_SYMBOLS:
+        getter = getattr(lib, symbol, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return int(getter())
+    return None
+
+
+def round_threads(param_count: int, participants: int) -> int:
+    """Threads that train one round's clients.
+
+    A model below ``2 * nn.BLOCK`` parameters trains serially: its steps are
+    too short for a second thread to pay for itself.  A larger one gets one
+    thread per core that BLAS leaves free, at most one per participant.  An
+    unknown BLAS counts as using every core, so its run stays serial.
+    """
+    if param_count < 2 * nn.BLOCK:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    blas = blas_threads() or cores
+    return max(1, min(participants, cores // blas))
+
+
 @dataclass
 class Federation:
     """The full simulation: the run's ``RunConfig``, whose settings it reads,
     datasets, clients, server state and model shape.  The rule, which alone
     holds the strategy's state, the local-optimizer template and the
-    sampling seed are derived from the config once."""
+    sampling seed are derived from the config once; the training threads'
+    workspaces are made on first need and kept."""
 
     config: RunConfig
     train: data.Dataset
@@ -131,14 +221,13 @@ class Federation:
     rule: strategies.FedAvg = field(init=False, repr=False)
     local_optimizer: nn.OptimizerState = field(init=False, repr=False)
     sample_seed: int = field(init=False, repr=False)
+    workspaces: list[Workspace] = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         config = self.config
         # a RunConfig built in Python skips from_dict's key checks
         if not 0.0 < config.participation <= 1.0:
             raise ValueError(f"participation must be in (0, 1], got {config.participation}")
-        if config.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {config.workers}")
         self.local_optimizer = nn.OptimizerState(config.optimizer.kind, config.optimizer.lr)
         self.rule = strategies.RULES[config.strategy.kind](
             config.strategy, self.spec, self.server.params, len(self.clients),
@@ -154,25 +243,58 @@ class Federation:
         chosen = np.sort(rng.choice(total, size=k, replace=False))
         return [self.clients[i] for i in chosen]
 
-    def _train_one(self, client: ClientState, latent: bool) -> strategies.ClientUpdate:
-        """Train one client; its mean latent over the whole shard, taken after
-        the final epoch, is computed only when ``latent`` asks for it."""
+    def _workspaces(self, count: int) -> list[Workspace]:
+        rows = min(self.config.batch_size, max(len(c.indices) for c in self.clients))
+        while len(self.workspaces) < count:
+            self.workspaces.append(Workspace.create(self.spec, self.local_optimizer, rows))
+        return self.workspaces[:count]
+
+    def _train_clients(
+        self, participants: list[ClientState], latent: bool
+    ) -> list[strategies.ClientUpdate]:
+        """Train the participants on ``round_threads`` threads; a client
+        takes whichever workspace is free.  This thread makes every update's
+        weight vector beforehand and waits while the threads train, so no
+        more threads run than ``round_threads`` allows.  The first failure
+        in participant order is raised, as in a serial round, and the
+        clients not yet started are then dropped.  Each mean latent over the
+        whole shard, after the final epoch, is taken afterwards, only when
+        ``latent`` asks for it."""
         server = self.server
-        update = local_train(
-            self.spec,
-            self.train,
-            client,
-            server.params,
-            epochs=self.config.epochs,
-            batch_size=self.config.batch_size,
-            optimizer=self.local_optimizer,
-            round_index=server.round_index,
-            adjust=self.rule.hooks(server.params, client.client_id),
-        )
+        spaces = self._workspaces(round_threads(self.spec.param_count(), len(participants)))
+        idle = queue.SimpleQueue()
+        for workspace in spaces:
+            idle.put(workspace)
+
+        def train(client: ClientState, out: np.ndarray) -> strategies.ClientUpdate:
+            workspace = idle.get()
+            try:
+                return local_train(
+                    self.spec,
+                    self.train,
+                    client,
+                    server.params,
+                    epochs=self.config.epochs,
+                    batch_size=self.config.batch_size,
+                    round_index=server.round_index,
+                    workspace=workspace,
+                    adjust=self.rule.hooks(server.params, client.client_id),
+                    out=out,
+                )
+            finally:
+                idle.put(workspace)
+
+        outs = [np.empty_like(server.params) for _ in participants]
+        if len(spaces) == 1:
+            updates = list(map(train, participants, outs))
+        else:
+            with ThreadPoolExecutor(len(spaces)) as pool:
+                updates = list(pool.map(train, participants, outs))
         if latent:
-            shard = self.train.features[client.indices]
-            update.z = nn.mean_latent(self.spec, update.weights, shard)
-        return update
+            for client, update in zip(participants, updates):
+                shard = self.train.features[client.indices]
+                update.z = nn.mean_latent(self.spec, update.weights, shard)
+        return updates
 
     def run_round(self) -> RoundReport:
         """Advance the federation by one round and report on it."""
@@ -182,11 +304,7 @@ class Federation:
         # a lone participant has no similarity structure to exploit, so its
         # latent would never be read
         normalize = self.config.normalize and len(participants) >= 2
-        if self.config.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-                updates = list(pool.map(self._train_one, participants, repeat(normalize)))
-        else:
-            updates = [self._train_one(c, normalize) for c in participants]
+        updates = self._train_clients(participants, normalize)
 
         nu = strategies.importance(updates)
         if normalize:

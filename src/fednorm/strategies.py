@@ -92,8 +92,10 @@ def aggregate(
 class FedAvg:
     """Plain weighted averaging; every other rule overrides only what it changes.
 
-    ``hooks`` runs on worker threads and only reads the rule's server memory;
-    ``fold`` alone updates it, once the round's clients have all finished."""
+    ``hooks`` and the ``adjust`` it returns run on a training thread, so
+    they only read the rule's server memory, and the buffers they make are
+    at most one block of ``nn.BLOCK`` elements; ``fold`` alone updates that
+    memory, once the round's clients have all finished."""
 
     def __init__(self, cfg: StrategyConfig, spec: nn.ModelSpec, params: np.ndarray,
                  num_clients: int, optimizer: nn.OptimizerState):
@@ -148,10 +150,17 @@ class Scaffold(FedAvg):
         self.client_c = {r: np.zeros(len(params)) for r in range(num_clients)}
 
     def hooks(self, global_params, client_id):
-        correction = self.c - self.client_c[client_id]
+        c, c_r = self.c, self.client_c[client_id]
+        block = np.empty(min(len(c), nn.BLOCK))
 
         def adjust(params, grad):
-            grad += correction
+            # grad += c - c_r, a block of the correction at a time
+            for start in range(0, len(grad), nn.BLOCK):
+                span = slice(start, start + nn.BLOCK)
+                g = grad[span]
+                correction = block[: len(g)]
+                np.subtract(c[span], c_r[span], out=correction)
+                g += correction
 
         return adjust
 
@@ -175,7 +184,9 @@ class Scaffold(FedAvg):
         total /= len(updates)
         total *= len(updates) / len(self.client_c)
         self.c += total
-        return global_params - self.cfg.server_lr * drift
+        # global_params - server_lr * drift, in drift's own buffer
+        drift *= self.cfg.server_lr
+        return np.subtract(global_params, drift, out=drift)
 
 
 class SGDM(FedAvg):

@@ -14,7 +14,6 @@ def _build_federation(
     optimizer=None,
     seed=0,
     participation=1.0,
-    workers=1,
     shared_shards=False,
     shared_client_seed=100,
     epochs=1,
@@ -46,7 +45,6 @@ def _build_federation(
         normalize=normalize,
         seed=seed,
         test_fraction=0.25,
-        workers=workers,
     )
     return simulation.Federation(
         config, train, test, clients, simulation.ServerState(params), spec

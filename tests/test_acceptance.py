@@ -246,14 +246,16 @@ class TestStrategyReductions:
             spec = nn.ModelSpec((5, 8, 3))
             params = nn.init_model(spec, 51)
             client = simulation.ClientState(0, np.arange(len(ds)), seed=52)
+            optimizer = nn.OptimizerState()
             kwargs = dict(
-                epochs=2, batch_size=16, optimizer=nn.OptimizerState(), round_index=0
+                epochs=2, batch_size=16, round_index=0,
+                workspace=simulation.Workspace.create(spec, optimizer, 16),
             )
             plain = simulation.local_train(
                 spec, ds, client, params, **kwargs
             )
             prox_cfg = strategies.StrategyConfig(kind="fedprox", mu=0.0)
-            prox_rule = strategies.FedProx(prox_cfg, spec, params, 1, kwargs["optimizer"])
+            prox_rule = strategies.FedProx(prox_cfg, spec, params, 1, optimizer)
             prox = simulation.local_train(
                 spec, ds, client, params,
                 adjust=prox_rule.hooks(params, client.client_id),
@@ -275,16 +277,16 @@ class TestStrategyReductions:
             params = nn.init_model(spec, 71)
             client = simulation.ClientState(0, np.arange(len(ds)), seed=72)
             size = spec.param_count()
+            optimizer = nn.OptimizerState(kind="sgd", lr=SCAFFOLD_LR)
             kwargs = dict(
-                epochs=1, batch_size=len(ds),
-                optimizer=nn.OptimizerState(kind="sgd", lr=SCAFFOLD_LR),
-                round_index=0,
+                epochs=1, batch_size=len(ds), round_index=0,
+                workspace=simulation.Workspace.create(spec, optimizer, len(ds)),
             )
             plain = simulation.local_train(
                 spec, ds, client, params, **kwargs
             )
             scaffold_cfg = strategies.StrategyConfig(kind="scaffold")
-            scaffold = strategies.Scaffold(scaffold_cfg, spec, params, 1, kwargs["optimizer"])
+            scaffold = strategies.Scaffold(scaffold_cfg, spec, params, 1, optimizer)
             scaffold.c = np.zeros(size)
             scaffold.client_c[client.client_id] = np.zeros(size)
             corrected = simulation.local_train(

@@ -68,6 +68,11 @@ class TestRejections:
             data["dataset"]["sigma"] = 1.0
             cfg.from_dict(data)
 
+    def test_removed_workers_key_is_unknown(self):
+        """Rounds choose their own thread count, so the old key is a typo now."""
+        with pytest.raises(cfg.ConfigError, match="unknown config key: workers"):
+            cfg.from_dict(dict(minimal(), workers=2))
+
     def test_bad_values_name_the_key(self):
         with pytest.raises(cfg.ConfigError, match="temperature"):
             cfg.from_dict(dict(minimal(), temperature=-1.0))

@@ -1,5 +1,8 @@
 """Round-loop checks: local training, reporting, determinism, parallelism."""
 
+import sys
+import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,6 +17,43 @@ def strip_durations(reports):
     return [
         (r.round_index, r.accuracy, r.loss, [vars(c) for c in r.clients]) for r in reports
     ]
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Let the interpreter switch threads every microsecond, so that the
+    interleavings a lost update needs happen often."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def run_bounded(federation, rounds, seconds=120.0):
+    """``federation.run(rounds)`` on a helper thread joined with a timeout,
+    so that a hung thread pool fails the test instead of stalling the suite;
+    the run's exception, if any, is raised here."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["reports"] = federation.run(rounds)
+        except Exception as exc:  # re-raised on the test's thread below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{rounds} rounds did not finish within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["reports"]
+
+
+def force_threads(monkeypatch, count):
+    monkeypatch.setattr(simulation, "round_threads", lambda param_count, participants: count)
 
 
 class TestEvaluate:
@@ -34,19 +74,37 @@ class TestLocalTrain:
     def test_rejects_bad_schedule(self):
         ds = data.generate_synthetic(2, 3, 10, 3.0, seed=0)
         client = simulation.ClientState(0, np.arange(len(ds)), seed=1)
-        opt = nn.OptimizerState()
         spec = nn.ModelSpec((3, 4, 2))
+        workspace = simulation.Workspace.create(spec, nn.OptimizerState(), 8)
         with pytest.raises(ValueError, match="epochs"):
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
-                epochs=0, batch_size=8, optimizer=opt,
+                epochs=0, batch_size=8, workspace=workspace,
                 round_index=0,
             )
         with pytest.raises(ValueError, match="batch_size"):
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
-                epochs=1, batch_size=0, optimizer=opt,
+                epochs=1, batch_size=0, workspace=workspace,
                 round_index=0,
+            )
+        with pytest.raises(ValueError, match="workspace holds 8 rows, a minibatch needs 16"):
+            simulation.local_train(
+                spec, ds, client, nn.init_model(spec, 2),
+                epochs=1, batch_size=16, workspace=workspace,
+                round_index=0,
+            )
+
+    @pytest.mark.parametrize("row", [-1, 20])
+    def test_rows_outside_the_dataset_are_named(self, row):
+        ds = data.generate_synthetic(2, 3, 10, 3.0, seed=0)  # 20 samples
+        client = simulation.ClientState(5, np.array([0, row, 3]), seed=1)
+        spec = nn.ModelSpec((3, 4, 2))
+        with pytest.raises(ValueError, match="client 5 has rows outside the 20-row dataset"):
+            simulation.local_train(
+                spec, ds, client, nn.init_model(spec, 2),
+                epochs=1, batch_size=8, round_index=0,
+                workspace=simulation.Workspace.create(spec, nn.OptimizerState(), 8),
             )
 
     def test_step_count_covers_partial_batches(self):
@@ -55,8 +113,8 @@ class TestLocalTrain:
         spec = nn.ModelSpec((3, 4, 2))
         update = simulation.local_train(
             spec, ds, client, nn.init_model(spec, 2),
-            epochs=2, batch_size=64, optimizer=nn.OptimizerState(),
-            round_index=0,
+            epochs=2, batch_size=64, round_index=0,
+            workspace=simulation.Workspace.create(spec, nn.OptimizerState(), 64),
         )
         assert update.tau == 4  # ceil(100/64) batches per epoch, twice
         assert update.n == 100
@@ -67,10 +125,10 @@ class TestLocalTrain:
         the same."""
         fed = build_federation(normalize=True, epochs=2, batch_size=16)
         client = fed.clients[1]
-        update = fed._train_one(client, latent=True)
+        update = fed._train_clients([client], latent=True)[0]
         shard = fed.train.features[client.indices]
         assert_array_equal(update.z, nn.mean_latent(fed.spec, update.weights, shard))
-        plain = fed._train_one(client, latent=False)
+        plain = fed._train_clients([client], latent=False)[0]
         assert plain.z is None
         assert_array_equal(plain.weights, update.weights)
 
@@ -83,8 +141,8 @@ class TestLocalTrain:
         for round_index in (0, 0, 1):
             update = simulation.local_train(
                 spec, ds, client, params,
-                epochs=1, batch_size=8, optimizer=nn.OptimizerState(),
-                round_index=round_index,
+                epochs=1, batch_size=8, round_index=round_index,
+                workspace=simulation.Workspace.create(spec, nn.OptimizerState(), 8),
             )
             runs.setdefault(round_index, []).append(update.weights)
         assert_array_equal(runs[0][0], runs[0][1])
@@ -105,10 +163,43 @@ class TestLocalTrain:
         with pytest.raises(nn.TrainingDiverged, match=r"client 7 diverged at local step \d+"):
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
-                epochs=4, batch_size=40,
-                optimizer=nn.OptimizerState(kind="sgd", lr=1.0),
-                round_index=0, adjust=adjust,
+                epochs=4, batch_size=40, round_index=0, adjust=adjust,
+                workspace=simulation.Workspace.create(
+                    spec, nn.OptimizerState(kind="sgd", lr=1.0), 40
+                ),
             )
+
+    def test_workspace_training_allocates_less_than_a_parameter_vector(self):
+        """numpy reports its buffers to tracemalloc.  Given a workspace, an
+        output vector and a hook made beforehand, five clients' training, all
+        that runs on a training thread, allocates at its peak less than one
+        parameter vector: no copy of the weights, gradient, moments or an
+        epoch of features."""
+        ds = data.generate_synthetic(10, 300, 15, 2.0, seed=30)  # 150 samples
+        spec = nn.ModelSpec((300, 128, 10))  # 39,818 parameters
+        params = nn.init_model(spec, 31)
+        optimizer = nn.OptimizerState(kind="adam", lr=1e-2)
+        workspace = simulation.Workspace.create(spec, optimizer, 16)
+        rule = strategies.FedProx(
+            strategies.StrategyConfig(kind="fedprox"), spec, params, 5, optimizer
+        )
+        clients = [
+            simulation.ClientState(r, np.arange(30 * r, 30 * r + 30), seed=r) for r in range(5)
+        ]
+        jobs = [(c, rule.hooks(params, c.client_id), np.empty_like(params)) for c in clients]
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            for client, adjust, out in jobs:
+                simulation.local_train(
+                    spec, ds, client, params, epochs=2, batch_size=16, round_index=0,
+                    workspace=workspace, adjust=adjust, out=out,
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 8 * spec.param_count()
+        assert not np.array_equal(jobs[0][2], params)
 
 
 def reference_forward(spec, params, x):
@@ -220,8 +311,8 @@ class TestLocalTrainReference:
              "fedprox-adam-wide", "scaffold-wide"],
     )
     def test_matches_reference_bitwise(self, strategy, kind, lr, activation, wide):
-        """Through ``Federation._train_one`` of a normalizing server, which
-        also takes the client's mean latent."""
+        """Through ``Federation._train_clients`` of a normalizing server,
+        which also takes the client's mean latent."""
         ds, spec, params, client = self.setup(activation, wide)
         rng = np.random.default_rng(33)
         config = cfg.RunConfig(
@@ -245,7 +336,7 @@ class TestLocalTrainReference:
         if strategy.kind == "fedbabu":
             formulas = dict(freeze=spec.layer_span(strategy.head_layer))
         broadcast = params.copy()
-        update = fed._train_one(client, latent=True)
+        update = fed._train_clients([client], latent=True)[0]
         # two epochs of 100 samples in batches of 16: the last batch has 4 rows
         weights, tau, z = reference_local_train(
             spec, ds, client, params, kind=kind, lr=lr, epochs=2, batch_size=16,
@@ -272,13 +363,17 @@ class TestLocalTrainReference:
         other = simulation.ClientState(4, np.arange(0, 60), seed=34)
         kwargs = dict(epochs=2, batch_size=16, round_index=1)
         template = nn.OptimizerState(kind="adam", lr=1e-2)
+        workspace = simulation.Workspace.create(spec, template, 16)
         in_turn = [
-            simulation.local_train(spec, ds, c, params, optimizer=template, **kwargs)
+            simulation.local_train(spec, ds, c, params, workspace=workspace, **kwargs)
             for c in (client, other)
         ]
         for c, got in zip((client, other), in_turn):
             alone = simulation.local_train(
-                spec, ds, c, params, optimizer=nn.OptimizerState(kind="adam", lr=1e-2),
+                spec, ds, c, params,
+                workspace=simulation.Workspace.create(
+                    spec, nn.OptimizerState(kind="adam", lr=1e-2), 16
+                ),
                 **kwargs,
             )
             assert_array_equal(got.weights, alone.weights)
@@ -288,7 +383,7 @@ class TestLocalTrainReference:
 
 class TestFederationChecks:
     """A RunConfig built in Python skips ``from_dict``'s key checks, so the
-    federation checks the two settings that would otherwise fail late."""
+    federation checks the setting that would otherwise fail late."""
 
     @pytest.mark.parametrize("participation", [0.0, 1.5, float("nan")])
     def test_participation_outside_the_unit_interval_is_named(
@@ -297,9 +392,40 @@ class TestFederationChecks:
         with pytest.raises(ValueError, match="participation"):
             build_federation(participation=participation)
 
-    def test_zero_workers_is_named(self, build_federation):
-        with pytest.raises(ValueError, match="workers"):
-            build_federation(workers=0)
+
+class TestRoundThreads:
+    """The thread-count rule, on a machine faked through its two readings."""
+
+    @pytest.fixture
+    def machine(self, monkeypatch):
+        def fake(cores, blas):
+            monkeypatch.setattr(
+                simulation.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
+            )
+            monkeypatch.setattr(simulation, "blas_threads", lambda: blas)
+
+        return fake
+
+    def test_small_model_trains_serially(self, machine):
+        machine(cores=8, blas=1)
+        assert simulation.round_threads(2 * nn.BLOCK - 1, 50) == 1
+        assert simulation.round_threads(2 * nn.BLOCK, 50) == 8
+
+    @pytest.mark.parametrize("blas", [None, 4, 6])
+    def test_blas_on_every_core_keeps_the_round_serial(self, machine, blas):
+        machine(cores=4, blas=blas)
+        assert simulation.round_threads(10 * nn.BLOCK, 50) == 1
+
+    @pytest.mark.parametrize("participants, expected", [(1, 1), (3, 3), (4, 4), (50, 4)])
+    def test_pinned_blas_gives_a_thread_per_core_and_participant(
+        self, machine, participants, expected
+    ):
+        machine(cores=4, blas=1)
+        assert simulation.round_threads(10 * nn.BLOCK, participants) == expected
+
+    def test_blas_threads_is_a_count_or_unknown(self):
+        threads = simulation.blas_threads()
+        assert threads is None or threads >= 1
 
 
 class TestRunRound:
@@ -332,8 +458,10 @@ class TestRunRound:
         expected_updates = [
             simulation.local_train(
                 fed.spec, fed.train, client, broadcast,
-                epochs=fed.config.epochs, batch_size=fed.config.batch_size,
-                optimizer=fed.local_optimizer, round_index=0,
+                epochs=fed.config.epochs, batch_size=fed.config.batch_size, round_index=0,
+                workspace=simulation.Workspace.create(
+                    fed.spec, fed.local_optimizer, fed.config.batch_size
+                ),
             )
             for client in fed.clients
         ]
@@ -421,27 +549,57 @@ class TestDeterminism:
         assert strip_durations(ra) == strip_durations(rb)
 
     @pytest.mark.parametrize(
-        "kind, shape, workers",
+        "kind, shape, threads",
+        # four threads: more than the cores of a small machine
         [pytest.param(kind, {}, 4, id=kind) for kind in strategies.STRATEGY_KINDS]
         # 40,963 parameters and eight steps per client: the clients' fedprox
         # hooks walk their blocks at the same time
         + [pytest.param("fedprox", dict(hidden=4096, batch_size=4, epochs=2), 2,
-                        id="fedprox-wide")],
+                        id="fedprox-wide"),
+           pytest.param("fedavg", dict(normalize=False), 4, id="fedavg-plain")],
     )
     def test_thread_pool_matches_serial_bitwise(
-        self, build_federation, kind, shape, workers
+        self, build_federation, monkeypatch, short_switch_interval, kind, shape, threads
     ):
         # scaffold's variate update divides by the local rate of plain sgd
         optimizer = cfg.OptimizerSettings(kind="sgd", lr=0.05) if kind == "scaffold" else None
-        common = dict(
-            kind=kind, normalize=True, num_clients=6, seed=9, optimizer=optimizer, **shape
-        )
-        serial = build_federation(workers=1, **common)
-        pooled = build_federation(workers=workers, **common)
-        rs = serial.run(3)
-        rp = pooled.run(3)
+        common = {
+            **dict(kind=kind, normalize=True, num_clients=6, seed=9, optimizer=optimizer),
+            **shape,
+        }
+        serial = build_federation(**common)
+        rs = run_bounded(serial, 3)
+        assert len(serial.workspaces) == 1
+        force_threads(monkeypatch, threads)
+        pooled = build_federation(**common)
+        rp = run_bounded(pooled, 3)
+        assert len(pooled.workspaces) == threads
         assert_array_equal(serial.server.params, pooled.server.params)
         assert strip_durations(rs) == strip_durations(rp)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_threaded_divergence_names_the_serial_client_and_step(
+        self, build_federation, monkeypatch, short_switch_interval
+    ):
+        """Clients 2 and 4 get a huge control-variate correction and blow up.
+        Whichever thread fails first, the round raises client 2's error, the
+        one a serial round raises."""
+        common = dict(
+            kind="scaffold", optimizer=cfg.OptimizerSettings(kind="sgd", lr=0.05),
+            num_clients=6, seed=9, batch_size=4,
+        )
+        errors = []
+        for threads in (1, 4):
+            force_threads(monkeypatch, threads)
+            fed = build_federation(**common)
+            for r in (2, 4):
+                fed.rule.client_c[r][:] = -1e200
+            diverged = r"client 2 diverged at local step \d+"
+            with pytest.raises(nn.TrainingDiverged, match=diverged) as info:
+                run_bounded(fed, 1)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
     def test_identical_clients_make_normalization_inert(self, build_federation):
         """Clients with the same shard and seed produce identical updates, so

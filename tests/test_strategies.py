@@ -181,7 +181,9 @@ class TestLocalHooks:
 class TestTrainingReductions:
     def test_fedprox_zero_mu_matches_fedavg_bitwise(self):
         ds, spec, params, client = training_setup()
-        kwargs = dict(epochs=2, batch_size=8, optimizer=nn.OptimizerState(), round_index=0)
+        # one workspace serves both runs: each starts from cleared buffers
+        workspace = simulation.Workspace.create(spec, nn.OptimizerState(), 8)
+        kwargs = dict(epochs=2, batch_size=8, workspace=workspace, round_index=0)
         plain = simulation.local_train(
             spec, ds, client, params, **kwargs
         )
@@ -195,15 +197,16 @@ class TestTrainingReductions:
     def test_scaffold_zero_variates_match_plain_sgd(self):
         ds, spec, params, client = training_setup()
         size = spec.param_count()
+        optimizer = nn.OptimizerState(kind="sgd", lr=0.1)
         kwargs = dict(
-            epochs=1, batch_size=len(ds), optimizer=nn.OptimizerState(kind="sgd", lr=0.1),
-            round_index=0,
+            epochs=1, batch_size=len(ds),
+            workspace=simulation.Workspace.create(spec, optimizer, len(ds)), round_index=0,
         )
         plain = simulation.local_train(
             spec, ds, client, params, **kwargs
         )
         cfg = strategies.StrategyConfig(kind="scaffold")
-        rule = fresh_rule(cfg, spec, params, client.client_id + 1, kwargs["optimizer"])
+        rule = fresh_rule(cfg, spec, params, client.client_id + 1, optimizer)
         rule.c, rule.client_c[client.client_id] = np.zeros(size), np.zeros(size)
         corrected = simulation.local_train(
             spec, ds, client, params, adjust=rule.hooks(params, client.client_id), **kwargs
@@ -223,7 +226,8 @@ class TestTrainingReductions:
         rule = fresh_rule(cfg, spec, params, client.client_id + 1)
         update = simulation.local_train(
             spec, ds, client, params,
-            epochs=3, batch_size=8, optimizer=nn.OptimizerState(),
+            epochs=3, batch_size=8,
+            workspace=simulation.Workspace.create(spec, nn.OptimizerState(), 8),
             adjust=rule.hooks(params, client.client_id),
             round_index=0,
         )
@@ -384,6 +388,10 @@ class TestAggregate:
 
 
 class TestFoldMemory:
+    # parameter vectors a fold may allocate at its peak; scaffold's four O(P)
+    # buffers include the one it returns, and it reaches 4.03
+    VECTORS = {"scaffold": 4.25}
+
     @pytest.mark.parametrize("kind", strategies.STRATEGY_KINDS)
     def test_fold_scratch_is_a_few_parameter_vectors(self, kind):
         """numpy reports its buffers to tracemalloc, so the traced peak is what
@@ -403,7 +411,7 @@ class TestFoldMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - base < 8 * size * 8
+        assert peak - base < self.VECTORS.get(kind, 8) * size * 8
 
 
 class TestNormalizationComposability:
