@@ -18,7 +18,7 @@ from .data import (
     partition_label_split,
     train_test_split,
 )
-from .nn import ModelSpec, OptimizerState, TrainingDiverged, init_model
+from .nn import ModelSpec, OptimizerSettings, OptimizerState, TrainingDiverged, init_model
 from .simulation import Federation, RoundReport, run_experiment
 from .strategies import ClientUpdate, StrategyConfig
 
@@ -32,6 +32,7 @@ __all__ = [
     "Federation",
     "MeanLatent",
     "ModelSpec",
+    "OptimizerSettings",
     "OptimizerState",
     "PartitionPlan",
     "RoundReport",

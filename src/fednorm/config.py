@@ -21,6 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
 
+from . import nn
 from .strategies import STRATEGY_KINDS, StrategyConfig
 
 
@@ -114,7 +115,8 @@ def _as_object(value, name, *, cls):
     try:
         return cls(**values)
     except ValueError as exc:
-        # StrategyConfig checks its own ranges; its message names the field
+        # StrategyConfig and nn.OptimizerSettings check their own ranges;
+        # the message names the field
         raise ConfigError(f"{name}: {exc}") from exc
 
 
@@ -167,12 +169,6 @@ class LabelSplitPartition:
 
 
 @dataclass(frozen=True)
-class OptimizerSettings:
-    kind: str = _key("adam", _as_str, choices=("sgd", "adam"))
-    lr: float = _key(1e-3, _as_real, positive=True)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     dataset: SyntheticData | IdxData = _key(
         MISSING, _as_section, kinds={c.kind: c for c in (SyntheticData, IdxData)}
@@ -187,14 +183,16 @@ class RunConfig:
         kinds={c.kind: c for c in (DirichletPartition, LabelSplitPartition)},
         default_kind=DirichletPartition.kind,
     )
-    optimizer: OptimizerSettings = _key(OptimizerSettings(), _as_object, cls=OptimizerSettings)
+    optimizer: nn.OptimizerSettings = _key(
+        nn.OptimizerSettings(), _as_object, cls=nn.OptimizerSettings
+    )
     clients: int = _key(10, _as_int, minimum=1)
     participation: float = _key(1.0, _as_real, low=0.0, low_open=True, high=1.0)
     rounds: int = _key(30, _as_int, minimum=0)
     epochs: int = _key(2, _as_int, minimum=1)
     batch_size: int = _key(64, _as_int, minimum=1)
     hidden_sizes: tuple[int, ...] = _key((128,), _as_sizes)
-    activation: str = _key("relu", _as_str, choices=("relu", "tanh"))
+    activation: str = _key("relu", _as_str, choices=nn.ACTIVATIONS)
     normalize: bool = True
     temperature: float = _key(0.5, _as_real, positive=True)
     seed: int = _key(0, _as_int, minimum=0)

@@ -8,7 +8,17 @@ a matrix S; the temperature-softmaxed row sums give every client a factor
 
 which is small for clients that look like everyone else and large for clients
 holding data the cohort has not seen.  The factors then rescale a strategy's
-importance weights into aggregation weights on the simplex.
+importance weights nu into aggregation weights u on the simplex.
+
+Their reach is bounded.  With p = softmax(sigma / T), u_r - nu_r =
+nu_r (p.nu - p_r) / (1 - p.nu), so
+
+    ||u - nu||_1 <= 2 p.nu / (1 - p.nu) <= 2 nu_max / (1 - nu_max),
+    u_r / nu_r <= 1 / (1 - nu_max).
+
+With equal shares over K clients the factors move at most 2 / (K - 1) of the
+weight and raise a share by at most K / (K - 1), so their effect fades as
+the cohort grows.
 """
 
 from __future__ import annotations

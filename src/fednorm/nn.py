@@ -13,12 +13,12 @@ linear output head) is exposed as the "latent" representation of a batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-_ACTIVATIONS = ("relu", "tanh")
-_OPTIMIZERS = ("sgd", "adam")
+ACTIVATIONS = ("relu", "tanh")
+OPTIMIZERS = ("sgd", "adam")
 # adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # elements per block of an elementwise update over a parameter vector: 256 KB
@@ -57,9 +57,9 @@ class ModelSpec:
             )
         if any(s <= 0 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(
-                f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}"
+                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
             )
         shapes = tuple(zip(sizes[:-1], sizes[1:]))
         slices = []
@@ -243,42 +243,37 @@ def loss_and_grad(spec, params, x, y, *, out=None):
     return loss, grad
 
 
-@dataclass
-class OptimizerState:
-    """Hyperparameters plus per-run mutable buffers of one local optimizer.
-
-    The moment buffers ``m``/``v`` are allocated on the first step, or by
-    ``fresh(size)``, and updated in place afterwards; so are the ``scratch``
-    arrays of the update, which hold one block of at most ``BLOCK`` elements.
-    ``fresh()`` hands out a copy with cleared buffers; ``reset()`` clears a
-    state's own buffers in place, so that one state serves client after
-    client.
-    """
+@dataclass(frozen=True)
+class OptimizerSettings:
+    """Which local optimizer trains the clients (``kind``) and its learning
+    rate ``lr``."""
 
     kind: str = "adam"
     lr: float = 1e-3
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    step: int = 0
-    scratch: tuple[np.ndarray, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
-        if self.kind not in _OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {_OPTIMIZERS}, got {self.kind!r}")
+        if self.kind not in OPTIMIZERS:
+            raise ValueError(f"kind must be one of the optimizers {OPTIMIZERS}, got {self.kind!r}")
         if not self.lr > 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+            raise ValueError(f"lr must be a positive learning rate, got {self.lr}")
 
-    def fresh(self, size: int | None = None) -> "OptimizerState":
-        """A copy at step 0 with no buffers, or, given the parameter count
-        ``size``, with every buffer allocated now and zeroed."""
-        state = replace(self, m=None, v=None, step=0)
-        if size is not None:
-            if state.kind == "adam":
-                state.m, state.v = np.zeros(size), np.zeros(size)
-            state.scratch = _block_scratch(state.kind, size)
-        return state
+
+class OptimizerState:
+    """One local optimizer's mutable buffers for a ``size``-parameter model.
+
+    The constructor allocates them all: adam's moments ``m``/``v`` (None for
+    sgd) and the ``scratch`` arrays of the update, which hold one block of at
+    most ``BLOCK`` elements.  Steps update them in place; ``reset()`` clears
+    them in place, so that one state serves client after client.
+    """
+
+    def __init__(self, settings: OptimizerSettings, size: int):
+        self.settings = settings
+        self.step = 0
+        adam = settings.kind == "adam"
+        self.m = np.zeros(size) if adam else None
+        self.v = np.zeros(size) if adam else None
+        self.scratch = tuple(np.empty(min(size, BLOCK)) for _ in range(2 if adam else 1))
 
     def reset(self):
         """Back to step 0 with zeroed moments, keeping every buffer."""
@@ -288,13 +283,9 @@ class OptimizerState:
         self.step = 0
 
 
-def _block_scratch(kind: str, size: int) -> tuple[np.ndarray, ...]:
-    count = 1 if kind == "sgd" else 2
-    return tuple(np.empty(min(size, BLOCK)) for _ in range(count))
-
-
 def optimizer_step(params, grad, state: OptimizerState):
-    """One optimizer update of ``params`` and ``state``, both in place.
+    """One optimizer update of ``params`` and ``state``, both in place;
+    ``state`` must be built for ``len(params)`` parameters.
 
     Returns ``(params, state)``, the very objects passed in; ``grad`` is left
     untouched.  Each update is evaluated in the textbook order, so the bits
@@ -305,19 +296,13 @@ def optimizer_step(params, grad, state: OptimizerState):
     every operation is elementwise, so the blocking changes no bits.
     """
     t = state.step + 1
-    if state.scratch is None:
-        state.scratch = _block_scratch(state.kind, len(params))
-    if state.kind == "adam":
-        if state.m is None:
-            state.m = np.zeros_like(params)
-        if state.v is None:
-            state.v = np.zeros_like(params)
+    kind, lr = state.settings.kind, state.settings.lr
     for start in range(0, len(params), BLOCK):
         span = slice(start, start + BLOCK)
         p, g = params[span], grad[span]
         update = state.scratch[0][: len(p)]
-        if state.kind == "sgd":
-            np.multiply(g, state.lr, out=update)
+        if kind == "sgd":
+            np.multiply(g, lr, out=update)
         else:
             m, v, denom = state.m[span], state.v[span], state.scratch[1][: len(p)]
             m *= ADAM_BETA1
@@ -331,7 +316,7 @@ def optimizer_step(params, grad, state: OptimizerState):
             np.sqrt(denom, out=denom)
             denom += ADAM_EPS
             np.divide(m, 1.0 - ADAM_BETA1**t, out=update)
-            update *= state.lr
+            update *= lr
             update /= denom
         p -= update
         if not np.isfinite(p).all():

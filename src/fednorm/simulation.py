@@ -79,13 +79,13 @@ class Workspace:
     labels: np.ndarray
 
     @classmethod
-    def create(cls, spec: nn.ModelSpec, optimizer: nn.OptimizerState, rows: int) -> Workspace:
-        """Buffers for training ``spec`` with a fresh copy of the template
-        ``optimizer`` on minibatches of at most ``rows`` rows."""
+    def create(cls, spec: nn.ModelSpec, optimizer: nn.OptimizerSettings, rows: int) -> Workspace:
+        """Buffers for training ``spec`` with the local ``optimizer`` on
+        minibatches of at most ``rows`` rows."""
         size = spec.param_count()
         return cls(
             np.empty(size),
-            optimizer.fresh(size),
+            nn.OptimizerState(optimizer, size),
             np.empty((rows, spec.input_dim)),
             np.empty(rows, dtype=np.int64),
         )
@@ -208,9 +208,9 @@ def round_threads(param_count: int, participants: int) -> int:
 class Federation:
     """The full simulation: the run's ``RunConfig``, whose settings it reads,
     datasets, clients, server state and model shape.  The rule, which alone
-    holds the strategy's state, the local-optimizer template and the
-    sampling seed are derived from the config once; the training threads'
-    workspaces are made on first need and kept."""
+    holds the strategy's state, and the sampling seed are derived from the
+    config once; the training threads' workspaces are made on first need and
+    kept."""
 
     config: RunConfig
     train: data.Dataset
@@ -219,7 +219,6 @@ class Federation:
     server: ServerState
     spec: nn.ModelSpec
     rule: strategies.FedAvg = field(init=False, repr=False)
-    local_optimizer: nn.OptimizerState = field(init=False, repr=False)
     sample_seed: int = field(init=False, repr=False)
     workspaces: list[Workspace] = field(init=False, repr=False, default_factory=list)
 
@@ -228,10 +227,8 @@ class Federation:
         # a RunConfig built in Python skips from_dict's key checks
         if not 0.0 < config.participation <= 1.0:
             raise ValueError(f"participation must be in (0, 1], got {config.participation}")
-        self.local_optimizer = nn.OptimizerState(config.optimizer.kind, config.optimizer.lr)
         self.rule = strategies.RULES[config.strategy.kind](
-            config.strategy, self.spec, self.server.params, len(self.clients),
-            self.local_optimizer,
+            config.strategy, self.spec, self.server.params, len(self.clients), config.optimizer
         )
         self.sample_seed = _derive_seed(config.seed, _TAG_SAMPLE)[0]
 
@@ -246,7 +243,7 @@ class Federation:
     def _workspaces(self, count: int) -> list[Workspace]:
         rows = min(self.config.batch_size, max(len(c.indices) for c in self.clients))
         while len(self.workspaces) < count:
-            self.workspaces.append(Workspace.create(self.spec, self.local_optimizer, rows))
+            self.workspaces.append(Workspace.create(self.spec, self.config.optimizer, rows))
         return self.workspaces[:count]
 
     def _train_clients(

@@ -98,7 +98,7 @@ class FedAvg:
     memory, once the round's clients have all finished."""
 
     def __init__(self, cfg: StrategyConfig, spec: nn.ModelSpec, params: np.ndarray,
-                 num_clients: int, optimizer: nn.OptimizerState):
+                 num_clients: int, optimizer: nn.OptimizerSettings):
         self.cfg = cfg
 
     def hooks(self, global_params: np.ndarray, client_id: int) -> Adjust | None:

@@ -36,7 +36,7 @@ def _build_federation(
     config = cfg.RunConfig(
         dataset=cfg.SyntheticData(classes=3, dims=6, per_class=40, spread=3.0),
         strategy=strategies.StrategyConfig(kind=kind),
-        optimizer=optimizer or cfg.OptimizerSettings(),
+        optimizer=optimizer or nn.OptimizerSettings(),
         clients=num_clients,
         participation=participation,
         epochs=epochs,

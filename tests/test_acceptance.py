@@ -39,9 +39,9 @@ def random_similarity(rng, r):
 
 
 def experiment(kind, normalize, alpha, seed, rounds=30):
-    opt = cfg.OptimizerSettings()
+    opt = nn.OptimizerSettings()
     if kind == "scaffold":
-        opt = cfg.OptimizerSettings(kind="sgd", lr=SCAFFOLD_LR)
+        opt = nn.OptimizerSettings(kind="sgd", lr=SCAFFOLD_LR)
     run_cfg = cfg.RunConfig(
         dataset=cfg.SyntheticData(classes=10, dims=32, per_class=500, spread=3.0),
         strategy=strategies.StrategyConfig(kind=kind),
@@ -167,7 +167,7 @@ class TestOutlierPrioritization:
                             (8, 9),
                         )
                     ),
-                    optimizer=cfg.OptimizerSettings(),
+                    optimizer=nn.OptimizerSettings(),
                     clients=3,
                     rounds=20,
                     seed=0,
@@ -229,7 +229,7 @@ class TestStrategyReductions:
             g = rng.normal(size=9)
             def rule(**knobs):
                 cfg = strategies.StrategyConfig(**knobs)
-                return strategies.RULES[cfg.kind](cfg, None, g, 4, nn.OptimizerState())
+                return strategies.RULES[cfg.kind](cfg, None, g, 4, nn.OptimizerSettings())
 
             fedavg = strategies.aggregate(g, updates, u, rule())
             nova = strategies.aggregate(g, updates, u, rule(kind="fednova"))
@@ -246,7 +246,7 @@ class TestStrategyReductions:
             spec = nn.ModelSpec((5, 8, 3))
             params = nn.init_model(spec, 51)
             client = simulation.ClientState(0, np.arange(len(ds)), seed=52)
-            optimizer = nn.OptimizerState()
+            optimizer = nn.OptimizerSettings()
             kwargs = dict(
                 epochs=2, batch_size=16, round_index=0,
                 workspace=simulation.Workspace.create(spec, optimizer, 16),
@@ -277,7 +277,7 @@ class TestStrategyReductions:
             params = nn.init_model(spec, 71)
             client = simulation.ClientState(0, np.arange(len(ds)), seed=72)
             size = spec.param_count()
-            optimizer = nn.OptimizerState(kind="sgd", lr=SCAFFOLD_LR)
+            optimizer = nn.OptimizerSettings(kind="sgd", lr=SCAFFOLD_LR)
             kwargs = dict(
                 epochs=1, batch_size=len(ds), round_index=0,
                 workspace=simulation.Workspace.create(spec, optimizer, len(ds)),

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from fednorm import config as cfg
+from fednorm import nn
 
 
 def minimal() -> dict:
@@ -35,7 +36,7 @@ class TestDefaults:
         assert parsed.normalize is True
         assert parsed.test_fraction == 0.2
         assert parsed.partition == cfg.DirichletPartition(alpha=0.5)
-        assert parsed.optimizer == cfg.OptimizerSettings(kind="adam", lr=1e-3)
+        assert parsed.optimizer == nn.OptimizerSettings(kind="adam", lr=1e-3)
         assert parsed.dataset == cfg.SyntheticData()
 
     def test_round_trip_through_dict(self):
@@ -48,8 +49,10 @@ class TestDefaults:
             normalize=False,
             temperature=0.25,
             out="runs/x",
+            optimizer={"kind": "sgd", "lr": 0.05},
         )
         parsed = cfg.from_dict(raw)
+        assert parsed.optimizer == nn.OptimizerSettings(kind="sgd", lr=0.05)
         assert cfg.from_dict(parsed.to_dict()) == parsed
 
 
@@ -85,22 +88,29 @@ class TestRejections:
         with pytest.raises(cfg.ConfigError, match="test_fraction"):
             cfg.from_dict(dict(minimal(), test_fraction=1.0))
 
+    BAD_VALUES = [
+        ("strategy.mu", "NaN", "strategy.mu must be a finite number"),
+        ("participation", "NaN", "participation must be a finite number"),
+        ("test_fraction", "NaN", "test_fraction must be a finite number"),
+        ("temperature", "Infinity", "temperature must be a finite number"),
+        ("optimizer.lr", "NaN", "optimizer.lr must be a finite number"),
+        # nn.OptimizerSettings checks its own ranges; the error names section and key
+        ("optimizer.lr", "0", "optimizer: lr must be a positive learning rate"),
+        ("optimizer.lr", "-1", "optimizer: lr must be a positive learning rate"),
+        ("optimizer.kind", '"rmsprop"', "optimizer: kind must be one of the optimizers"),
+    ]
+
     @pytest.mark.parametrize(
-        "key, text",
-        [
-            ("strategy.mu", "NaN"),
-            ("participation", "NaN"),
-            ("test_fraction", "NaN"),
-            ("temperature", "Infinity"),
-            ("optimizer.lr", "NaN"),
-        ],
+        "key, text, message", BAD_VALUES, ids=[f"{key}-{text}" for key, text, _ in BAD_VALUES]
     )
-    def test_non_finite_numbers_are_rejected(self, key, text):
+    def test_non_finite_numbers_are_rejected(self, key, text, message):
+        """Non-finite numbers fail the plain number check, out-of-range
+        optimizer values fail in nn.OptimizerSettings; both errors name the key."""
         data = minimal()
         data["strategy"]["kind"] = "fedprox"
         section, _, name = key.rpartition(".")
         (data.setdefault(section, {}) if section else data)[name] = json.loads(text)
-        with pytest.raises(cfg.ConfigError, match=rf"^{key} must be a finite number"):
+        with pytest.raises(cfg.ConfigError, match=rf"^{message}"):
             cfg.from_dict(data)
 
     def test_strategy_ranges_name_the_section_and_field(self):

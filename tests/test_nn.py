@@ -224,14 +224,16 @@ class TestOptimizers:
         params = np.array([1.0, -1.0])
         grad = np.array([2.0, 4.0])
         expected = params - 0.1 * grad  # computed first: the step updates params in place
-        new, state = nn.optimizer_step(params, grad, nn.OptimizerState(kind="sgd", lr=0.1))
+        state = nn.OptimizerState(nn.OptimizerSettings(kind="sgd", lr=0.1), len(params))
+        new, state = nn.optimizer_step(params, grad, state)
         assert_array_equal(new, expected)
         assert state.step == 1
 
     def test_sgd_zero_grad_is_fixed_point(self):
         params = np.array([0.3, -0.7, 2.0])
         expected = params.copy()  # the step updates params in place
-        new, _ = nn.optimizer_step(params, np.zeros(3), nn.OptimizerState(kind="sgd", lr=0.5))
+        state = nn.OptimizerState(nn.OptimizerSettings(kind="sgd", lr=0.5), 3)
+        new, _ = nn.optimizer_step(params, np.zeros(3), state)
         assert_array_equal(new, expected)
 
     def test_adam_matches_scalar_recurrence(self):
@@ -239,7 +241,7 @@ class TestOptimizers:
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         p = 0.5
         m = v = 0.0
-        state = nn.OptimizerState(kind="adam", lr=lr)
+        state = nn.OptimizerState(nn.OptimizerSettings(kind="adam", lr=lr), 1)
         params = np.array([0.5])
         for t, g in enumerate([2.0, -1.0, 0.5], start=1):
             m = b1 * m + (1 - b1) * g
@@ -252,7 +254,8 @@ class TestOptimizers:
     def test_adam_first_step_magnitude_near_lr(self):
         params = np.zeros(4)
         grad = np.array([3.0, -2.0, 0.5, 10.0])
-        new, _ = nn.optimizer_step(params, grad, nn.OptimizerState(kind="adam", lr=1e-3))
+        state = nn.OptimizerState(nn.OptimizerSettings(kind="adam", lr=1e-3), 4)
+        new, _ = nn.optimizer_step(params, grad, state)
         # first bias-corrected step is -lr * g/(|g| + eps), essentially -lr*sign(g)
         assert_allclose(new, -1e-3 * np.sign(grad), rtol=1e-7)
 
@@ -260,7 +263,7 @@ class TestOptimizers:
     def test_step_updates_params_and_state_in_place(self, kind):
         params = np.ones(3)
         grad = np.full(3, 2.0)
-        state = nn.OptimizerState(kind=kind, lr=0.01)
+        state = nn.OptimizerState(nn.OptimizerSettings(kind=kind, lr=0.01), 3)
         new, new_state = nn.optimizer_step(params, grad, state)
         assert new is params and new_state is state
         assert np.all(params < 1.0)
@@ -269,33 +272,40 @@ class TestOptimizers:
         buffers = [state.m, state.v, *state.scratch]
         nn.optimizer_step(params, grad, state)
         assert state.step == 2
-        # the second step reuses every buffer the first one allocated
+        # the second step reuses every buffer the first one used
         for before, after in zip(buffers, [state.m, state.v, *state.scratch]):
             assert before is after
         if kind == "sgd":
             assert state.m is None and state.v is None
 
-    def test_fresh_clears_buffers(self):
-        state = nn.OptimizerState(kind="adam", lr=0.01)
-        _, state = nn.optimizer_step(np.ones(2), np.ones(2), state)
-        fresh = state.fresh()
-        assert fresh.m is None and fresh.v is None and fresh.step == 0
-        assert fresh.scratch is None
-        assert fresh.lr == state.lr
+    def test_reset_clears_moments_in_the_same_buffers(self):
+        state = nn.OptimizerState(nn.OptimizerSettings(kind="adam", lr=0.01), 2)
+        buffers = [state.m, state.v, *state.scratch]
+        for _ in range(3):
+            nn.optimizer_step(np.ones(2), np.ones(2), state)
+        assert state.step == 3 and state.m.any() and state.v.any()
+        state.reset()
+        assert state.step == 0
+        assert_array_equal(state.m, 0.0)
+        assert_array_equal(state.v, 0.0)
+        for before, after in zip(buffers, [state.m, state.v, *state.scratch]):
+            assert before is after
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="optimizer"):
-            nn.OptimizerState(kind="rmsprop")
+            nn.OptimizerSettings(kind="rmsprop")
 
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError, match="learning rate"):
-            nn.OptimizerState(kind="sgd", lr=0.0)
+            nn.OptimizerSettings(kind="sgd", lr=0.0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_raises(self):
         with pytest.raises(nn.TrainingDiverged):
             nn.optimizer_step(
-                np.array([1e308]), np.array([-1e308]), nn.OptimizerState(kind="sgd", lr=10.0)
+                np.array([1e308]),
+                np.array([-1e308]),
+                nn.OptimizerState(nn.OptimizerSettings(kind="sgd", lr=10.0), 1),
             )
 
 
@@ -328,7 +338,7 @@ class TestBlockedStep:
         params = rng.normal(size=size)
         grads = [rng.normal(size=size) for _ in range(4)]
         expected, m, v = textbook_steps(kind, params, grads, lr=1e-2)
-        state = nn.OptimizerState(kind=kind, lr=1e-2)
+        state = nn.OptimizerState(nn.OptimizerSettings(kind=kind, lr=1e-2), size)
         for g in grads:
             params, state = nn.optimizer_step(params, g, state)
         assert_array_equal(params, expected)
@@ -350,7 +360,7 @@ class TestBlockedStep:
         params = rng.normal(size=size)
         grads = [rng.normal(scale=rng.uniform(0.01, 10.0), size=size) for _ in range(steps)]
         expected, _, _ = textbook_steps(kind, params, grads, lr)
-        state = nn.OptimizerState(kind=kind, lr=lr)
+        state = nn.OptimizerState(nn.OptimizerSettings(kind=kind, lr=lr), size)
         for g in grads:
             nn.optimizer_step(params, g, state)
         assert_array_equal(params, expected)
@@ -361,7 +371,9 @@ class TestBlockedStep:
         params = np.zeros(size)
         params[-1] = np.inf
         with pytest.raises(nn.TrainingDiverged, match="after step 1"):
-            nn.optimizer_step(params, np.ones(size), nn.OptimizerState(kind=kind))
+            nn.optimizer_step(
+                params, np.ones(size), nn.OptimizerState(nn.OptimizerSettings(kind=kind), size)
+            )
 
 
 class TestMeanLatent:
@@ -407,7 +419,7 @@ class TestTrainingDeterminism:
 
         def train():
             params = nn.init_model(spec, 13)
-            state = nn.OptimizerState(kind="adam", lr=1e-3)
+            state = nn.OptimizerState(nn.OptimizerSettings(kind="adam", lr=1e-3), len(params))
             for _ in range(20):
                 _, grad = nn.loss_and_grad(spec, params, x, y)
                 params, state = nn.optimizer_step(params, grad, state)

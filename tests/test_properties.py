@@ -41,6 +41,48 @@ class TestContributionEquivariance:
         np.testing.assert_allclose(lam_perm, lam[perm], rtol=0, atol=1e-12)
 
 
+@st.composite
+def latents_and_importance(draw):
+    """Mean latents of 2-10 clients and importance weights with at least two
+    positive entries, each at least 0.01 before normalization."""
+    clients = draw(st.integers(2, 10))
+    dim = draw(st.integers(1, 6))
+    z = draw(
+        arrays(np.float64, (clients, dim), elements=st.floats(-10.0, 10.0))
+        .filter(lambda z: (np.linalg.norm(z, axis=1) > 1e-3).all())
+    )
+    raw = draw(
+        arrays(np.float64, clients, elements=st.just(0.0) | st.floats(0.01, 1.0))
+        .filter(lambda raw: np.count_nonzero(raw) >= 2)
+    )
+    return z, raw / raw.sum()
+
+
+# ‖u−ν‖₁ and its bound are sums of K float64 terms, each off by about 1e-16.
+# Where p·ν is that small, so is the bound, and rounding alone can exceed it
+# by a large relative amount (a random check went over by 2e-7 relative);
+# the bounds therefore hold up to this absolute slack.
+REACH_SLACK = 1e-14
+
+
+class TestFactorReach:
+    """λ = 1 − p with p = softmax(σ/T) on the simplex, so u_r − ν_r =
+    ν_r (p·ν − p_r) / (1 − p·ν): the factors move at most 2 p·ν / (1 − p·ν)
+    of the weight, and raise no share by more than 1 / (1 − ν_max)."""
+
+    @deterministic
+    @given(case=latents_and_importance(), temperature=st.floats(0.01, 2.0))
+    def test_weight_moved_and_share_raised_are_bounded(self, case, temperature):
+        z, nu = case
+        latents = [co.MeanLatent(r, z[r]) for r in range(len(z))]
+        lam = co.contribution_factors(co.similarity_matrix(latents), temperature)
+        u = co.normalize_weights(lam, nu)
+        p_nu = (1.0 - lam) @ nu
+        assert np.abs(u - nu).sum() <= 2.0 * p_nu / (1.0 - p_nu) + REACH_SLACK
+        held = nu > 0
+        assert (u[held] / nu[held] <= 1.0 / (1.0 - nu.max()) + REACH_SLACK).all()
+
+
 class TestLargestRemainder:
     @deterministic
     @given(
@@ -122,7 +164,7 @@ def update_sets(draw):
 def fold(kind, spec, global_params, updates, u, **knobs):
     """One fresh rule's fold through ``strategies.aggregate``."""
     cfg = strategies.StrategyConfig(kind=kind, **knobs)
-    optimizer = nn.OptimizerState(kind="sgd", lr=0.1)
+    optimizer = nn.OptimizerSettings(kind="sgd", lr=0.1)
     rule = strategies.RULES[kind](cfg, spec, global_params, len(updates), optimizer)
     return strategies.aggregate(global_params, updates, u, rule)
 
@@ -209,7 +251,7 @@ class TestScaffoldFold:
         client's variate delta in one (K, P) matrix."""
         global_params, updates, u, lr, server_lr, c, client_c = case
         cfg = strategies.StrategyConfig(kind="scaffold", server_lr=server_lr)
-        optimizer = nn.OptimizerState(kind="sgd", lr=lr)
+        optimizer = nn.OptimizerSettings(kind="sgd", lr=lr)
         rule = strategies.Scaffold(cfg, None, global_params, len(client_c), optimizer)
         rule.c = c.copy()
         rule.client_c = {r: row.copy() for r, row in enumerate(client_c)}

@@ -75,7 +75,7 @@ class TestLocalTrain:
         ds = data.generate_synthetic(2, 3, 10, 3.0, seed=0)
         client = simulation.ClientState(0, np.arange(len(ds)), seed=1)
         spec = nn.ModelSpec((3, 4, 2))
-        workspace = simulation.Workspace.create(spec, nn.OptimizerState(), 8)
+        workspace = simulation.Workspace.create(spec, nn.OptimizerSettings(), 8)
         with pytest.raises(ValueError, match="epochs"):
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
@@ -104,7 +104,7 @@ class TestLocalTrain:
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
                 epochs=1, batch_size=8, round_index=0,
-                workspace=simulation.Workspace.create(spec, nn.OptimizerState(), 8),
+                workspace=simulation.Workspace.create(spec, nn.OptimizerSettings(), 8),
             )
 
     def test_step_count_covers_partial_batches(self):
@@ -114,7 +114,7 @@ class TestLocalTrain:
         update = simulation.local_train(
             spec, ds, client, nn.init_model(spec, 2),
             epochs=2, batch_size=64, round_index=0,
-            workspace=simulation.Workspace.create(spec, nn.OptimizerState(), 64),
+            workspace=simulation.Workspace.create(spec, nn.OptimizerSettings(), 64),
         )
         assert update.tau == 4  # ceil(100/64) batches per epoch, twice
         assert update.n == 100
@@ -142,7 +142,7 @@ class TestLocalTrain:
             update = simulation.local_train(
                 spec, ds, client, params,
                 epochs=1, batch_size=8, round_index=round_index,
-                workspace=simulation.Workspace.create(spec, nn.OptimizerState(), 8),
+                workspace=simulation.Workspace.create(spec, nn.OptimizerSettings(), 8),
             )
             runs.setdefault(round_index, []).append(update.weights)
         assert_array_equal(runs[0][0], runs[0][1])
@@ -165,7 +165,7 @@ class TestLocalTrain:
                 spec, ds, client, nn.init_model(spec, 2),
                 epochs=4, batch_size=40, round_index=0, adjust=adjust,
                 workspace=simulation.Workspace.create(
-                    spec, nn.OptimizerState(kind="sgd", lr=1.0), 40
+                    spec, nn.OptimizerSettings(kind="sgd", lr=1.0), 40
                 ),
             )
 
@@ -178,7 +178,7 @@ class TestLocalTrain:
         ds = data.generate_synthetic(10, 300, 15, 2.0, seed=30)  # 150 samples
         spec = nn.ModelSpec((300, 128, 10))  # 39,818 parameters
         params = nn.init_model(spec, 31)
-        optimizer = nn.OptimizerState(kind="adam", lr=1e-2)
+        optimizer = nn.OptimizerSettings(kind="adam", lr=1e-2)
         workspace = simulation.Workspace.create(spec, optimizer, 16)
         rule = strategies.FedProx(
             strategies.StrategyConfig(kind="fedprox"), spec, params, 5, optimizer
@@ -317,7 +317,7 @@ class TestLocalTrainReference:
         rng = np.random.default_rng(33)
         config = cfg.RunConfig(
             dataset=cfg.SyntheticData(), strategy=strategy,
-            optimizer=cfg.OptimizerSettings(kind=kind, lr=lr), epochs=2, batch_size=16,
+            optimizer=nn.OptimizerSettings(kind=kind, lr=lr), epochs=2, batch_size=16,
         )
         server = simulation.ServerState(params, round_index=4)
         # the rule keeps per-client memory for as many clients as the list holds
@@ -362,8 +362,9 @@ class TestLocalTrainReference:
         ds, spec, params, client = self.setup()
         other = simulation.ClientState(4, np.arange(0, 60), seed=34)
         kwargs = dict(epochs=2, batch_size=16, round_index=1)
-        template = nn.OptimizerState(kind="adam", lr=1e-2)
-        workspace = simulation.Workspace.create(spec, template, 16)
+        workspace = simulation.Workspace.create(
+            spec, nn.OptimizerSettings(kind="adam", lr=1e-2), 16
+        )
         in_turn = [
             simulation.local_train(spec, ds, c, params, workspace=workspace, **kwargs)
             for c in (client, other)
@@ -372,12 +373,11 @@ class TestLocalTrainReference:
             alone = simulation.local_train(
                 spec, ds, c, params,
                 workspace=simulation.Workspace.create(
-                    spec, nn.OptimizerState(kind="adam", lr=1e-2), 16
+                    spec, nn.OptimizerSettings(kind="adam", lr=1e-2), 16
                 ),
                 **kwargs,
             )
             assert_array_equal(got.weights, alone.weights)
-        assert template.m is None and template.step == 0
         assert not np.array_equal(params, in_turn[0].weights)
 
 
@@ -460,7 +460,7 @@ class TestRunRound:
                 fed.spec, fed.train, client, broadcast,
                 epochs=fed.config.epochs, batch_size=fed.config.batch_size, round_index=0,
                 workspace=simulation.Workspace.create(
-                    fed.spec, fed.local_optimizer, fed.config.batch_size
+                    fed.spec, fed.config.optimizer, fed.config.batch_size
                 ),
             )
             for client in fed.clients
@@ -530,7 +530,7 @@ class TestRunRound:
 
     def test_scaffold_round_updates_server_variate(self, build_federation):
         fed = build_federation(
-            kind="scaffold", optimizer=cfg.OptimizerSettings(kind="sgd", lr=0.05)
+            kind="scaffold", optimizer=nn.OptimizerSettings(kind="sgd", lr=0.05)
         )
         assert_array_equal(fed.rule.c, 0.0)
         fed.run_round()
@@ -562,7 +562,7 @@ class TestDeterminism:
         self, build_federation, monkeypatch, short_switch_interval, kind, shape, threads
     ):
         # scaffold's variate update divides by the local rate of plain sgd
-        optimizer = cfg.OptimizerSettings(kind="sgd", lr=0.05) if kind == "scaffold" else None
+        optimizer = nn.OptimizerSettings(kind="sgd", lr=0.05) if kind == "scaffold" else None
         common = {
             **dict(kind=kind, normalize=True, num_clients=6, seed=9, optimizer=optimizer),
             **shape,
@@ -586,7 +586,7 @@ class TestDeterminism:
         Whichever thread fails first, the round raises client 2's error, the
         one a serial round raises."""
         common = dict(
-            kind="scaffold", optimizer=cfg.OptimizerSettings(kind="sgd", lr=0.05),
+            kind="scaffold", optimizer=nn.OptimizerSettings(kind="sgd", lr=0.05),
             num_clients=6, seed=9, batch_size=4,
         )
         errors = []
@@ -622,7 +622,7 @@ class TestRunExperiment:
             dataset=cfg.SyntheticData(classes=4, dims=6, per_class=40, spread=3.0),
             strategy=strategies.StrategyConfig(),
             partition=cfg.DirichletPartition(alpha=0.5, min_samples=8),
-            optimizer=cfg.OptimizerSettings(),
+            optimizer=nn.OptimizerSettings(),
             clients=4,
             rounds=2,
             epochs=1,

@@ -72,7 +72,7 @@ class TestImportance:
 
 def fresh_rule(cfg, spec, params, num_clients=4, optimizer=None):
     """The rule for ``cfg``; local sgd unless ``optimizer`` says otherwise."""
-    optimizer = optimizer or nn.OptimizerState(kind="sgd", lr=0.1)
+    optimizer = optimizer or nn.OptimizerSettings(kind="sgd", lr=0.1)
     return strategies.RULES[cfg.kind](cfg, spec, params, num_clients, optimizer)
 
 
@@ -182,7 +182,7 @@ class TestTrainingReductions:
     def test_fedprox_zero_mu_matches_fedavg_bitwise(self):
         ds, spec, params, client = training_setup()
         # one workspace serves both runs: each starts from cleared buffers
-        workspace = simulation.Workspace.create(spec, nn.OptimizerState(), 8)
+        workspace = simulation.Workspace.create(spec, nn.OptimizerSettings(), 8)
         kwargs = dict(epochs=2, batch_size=8, workspace=workspace, round_index=0)
         plain = simulation.local_train(
             spec, ds, client, params, **kwargs
@@ -197,7 +197,7 @@ class TestTrainingReductions:
     def test_scaffold_zero_variates_match_plain_sgd(self):
         ds, spec, params, client = training_setup()
         size = spec.param_count()
-        optimizer = nn.OptimizerState(kind="sgd", lr=0.1)
+        optimizer = nn.OptimizerSettings(kind="sgd", lr=0.1)
         kwargs = dict(
             epochs=1, batch_size=len(ds),
             workspace=simulation.Workspace.create(spec, optimizer, len(ds)), round_index=0,
@@ -227,7 +227,7 @@ class TestTrainingReductions:
         update = simulation.local_train(
             spec, ds, client, params,
             epochs=3, batch_size=8,
-            workspace=simulation.Workspace.create(spec, nn.OptimizerState(), 8),
+            workspace=simulation.Workspace.create(spec, nn.OptimizerSettings(), 8),
             adjust=rule.hooks(params, client.client_id),
             round_index=0,
         )
@@ -324,7 +324,7 @@ class TestAggregate:
         cfg = strategies.StrategyConfig(kind="scaffold", server_lr=0.8)
         lr = 0.05
         global_params = np.array([1.0, -1.0, 0.5])
-        rule = fresh_rule(cfg, None, global_params, 4, nn.OptimizerState(kind="sgd", lr=lr))
+        rule = fresh_rule(cfg, None, global_params, 4, nn.OptimizerSettings(kind="sgd", lr=lr))
         c = np.array([0.2, -0.1, 0.05])
         client_c = {0: np.array([0.1, 0.0, -0.1]), 2: np.array([-0.3, 0.2, 0.1])}
         # the fold updates the rule's variates in place, so hand it copies
