@@ -3,7 +3,6 @@
 from .config import RunConfig, ConfigError
 from .contribution import (
     DegenerateLatent,
-    MeanLatent,
     contribution_factors,
     cosine,
     normalize_weights,
@@ -30,7 +29,6 @@ __all__ = [
     "Dataset",
     "DegenerateLatent",
     "Federation",
-    "MeanLatent",
     "ModelSpec",
     "OptimizerSettings",
     "OptimizerState",

@@ -70,13 +70,11 @@ def cmd_run(args) -> int:
     # an earlier run's summary must not sit beside this run's metrics if it fails
     (outdir / "run.json").unlink(missing_ok=True)
     started = time.perf_counter()
-    reports = []
     with open(outdir / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
 
         def on_report(report):
-            reports.append(report)
             duration_ms = _fmt(report.duration_s * 1000.0)
             shared = [report.round_index, _fmt(report.accuracy), _fmt(report.loss)]
             for cm in report.clients:
@@ -92,7 +90,7 @@ def cmd_run(args) -> int:
                 f"loss={report.loss:.4f} clients={len(report.clients)}"
             )
 
-        simulation.run_experiment(cfg, on_report)
+        reports = simulation.run_experiment(cfg, on_report).reports
 
     summary = {
         "rounds": len(reports),

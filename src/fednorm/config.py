@@ -218,11 +218,12 @@ def _to_json(value):
 def from_dict(data: dict) -> RunConfig:
     """Validate a raw JSON object into a RunConfig."""
     cfg = _as_object(data, "", cls=RunConfig)
-    _cross_validate(cfg)
+    cross_validate(cfg)
     return cfg
 
 
-def _cross_validate(cfg: RunConfig):
+def cross_validate(cfg: RunConfig):
+    """The checks that span keys, for a RunConfig from JSON or from Python."""
     if cfg.partition.kind == "dirichlet" and cfg.clients < 2:
         raise ConfigError(f"dirichlet partitioning needs clients >= 2, got {cfg.clients}")
     if cfg.partition.kind == "label_split" and len(cfg.partition.groups) != cfg.clients:

@@ -23,8 +23,6 @@ the cohort grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MIN_LATENT_NORM = 1e-12
@@ -42,14 +40,6 @@ class DegenerateLatent(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class MeanLatent:
-    """A client's mean last-hidden-layer activation."""
-
-    client_id: int
-    z: np.ndarray
-
-
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, clamped to [-1, 1] against rounding spill."""
     a = np.asarray(a, dtype=np.float64).ravel()
@@ -65,23 +55,26 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip((a @ b) / (na * nb), -1.0, 1.0))
 
 
-def similarity_matrix(latents) -> np.ndarray:
+def similarity_matrix(latents, client_ids) -> np.ndarray:
     """Pairwise cosine matrix of the clients' mean latents.
 
-    Symmetric with an exactly unit diagonal; needs at least two latents of a
-    common dimension.  Raises DegenerateLatent naming the offending client when
-    some mean latent has (near-)zero norm.
+    ``latents[i]`` is the mean latent of client ``client_ids[i]``.  Symmetric
+    with an exactly unit diagonal; needs at least two latents of a common
+    dimension.  Raises DegenerateLatent naming the offending client when some
+    mean latent has (near-)zero norm.
     """
+    if len(latents) != len(client_ids):
+        raise ValueError(f"{len(latents)} latents for {len(client_ids)} client ids")
     if len(latents) < 2:
         raise ValueError(f"similarity needs >= 2 clients, got {len(latents)}")
-    dims = {np.asarray(l.z).shape for l in latents}
+    dims = {np.shape(latent) for latent in latents}
     if len(dims) != 1:
         raise ValueError(f"latent dimensions differ across clients: {sorted(dims)}")
-    z = np.stack([np.asarray(l.z, dtype=np.float64).ravel() for l in latents])
+    z = np.stack([np.asarray(latent, dtype=np.float64).ravel() for latent in latents])
     norms = np.linalg.norm(z, axis=1)
-    for latent, norm in zip(latents, norms):
+    for client_id, norm in zip(client_ids, norms):
         if norm < MIN_LATENT_NORM:
-            raise DegenerateLatent(client_id=latent.client_id, norm=float(norm))
+            raise DegenerateLatent(client_id=client_id, norm=float(norm))
     unit = z / norms[:, None]
     s = unit @ unit.T
     s = (s + s.T) / 2.0  # force bitwise symmetry

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contribution, data, nn, strategies
-from .config import RunConfig
+from .config import RunConfig, cross_validate
 
 
 @dataclass
@@ -111,8 +111,7 @@ def local_train(
     ``workspace``, whose gradient and optimizer state serve every step, and
     the weights are trained in ``out``, a new vector if None: beyond ``out``
     a call allocates nothing of parameter or shard size.  ``adjust``, the
-    rule's hook, edits every minibatch gradient in place.  The update carries
-    no mean latent.
+    rule's hook, edits every minibatch gradient in place.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -246,17 +245,13 @@ class Federation:
             self.workspaces.append(Workspace.create(self.spec, self.config.optimizer, rows))
         return self.workspaces[:count]
 
-    def _train_clients(
-        self, participants: list[ClientState], latent: bool
-    ) -> list[strategies.ClientUpdate]:
+    def _train_clients(self, participants: list[ClientState]) -> list[strategies.ClientUpdate]:
         """Train the participants on ``round_threads`` threads; a client
         takes whichever workspace is free.  This thread makes every update's
         weight vector beforehand and waits while the threads train, so no
         more threads run than ``round_threads`` allows.  The first failure
         in participant order is raised, as in a serial round, and the
-        clients not yet started are then dropped.  Each mean latent over the
-        whole shard, after the final epoch, is taken afterwards, only when
-        ``latent`` asks for it."""
+        clients not yet started are then dropped."""
         server = self.server
         spaces = self._workspaces(round_threads(self.spec.param_count(), len(participants)))
         idle = queue.SimpleQueue()
@@ -283,38 +278,47 @@ class Federation:
 
         outs = [np.empty_like(server.params) for _ in participants]
         if len(spaces) == 1:
-            updates = list(map(train, participants, outs))
-        else:
-            with ThreadPoolExecutor(len(spaces)) as pool:
-                updates = list(pool.map(train, participants, outs))
-        if latent:
-            for client, update in zip(participants, updates):
-                shard = self.train.features[client.indices]
-                update.z = nn.mean_latent(self.spec, update.weights, shard)
-        return updates
+            return list(map(train, participants, outs))
+        with ThreadPoolExecutor(len(spaces)) as pool:
+            return list(pool.map(train, participants, outs))
+
+    def _mean_latents(
+        self, participants: list[ClientState], updates: list[strategies.ClientUpdate]
+    ) -> list[np.ndarray]:
+        """Each participant's mean latent over its whole shard under its
+        trained weights, taken on this thread once every client has trained."""
+        latents = []
+        for client, update in zip(participants, updates):
+            shard = self.train.features[client.indices]
+            latents.append(nn.mean_latent(self.spec, update.weights, shard))
+        return latents
+
+    def _weigh(
+        self, participants: list[ClientState], updates: list[strategies.ClientUpdate]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The server's weighing step: the contribution factors λ, the
+        rule's importance weights ν and the aggregation weights u."""
+        nu = strategies.importance(updates)
+        # a lone participant has no similarity structure to exploit, so its
+        # latent is never taken
+        if not (self.config.normalize and len(updates) >= 2):
+            # the reported factor is the uniform value, matching what the
+            # softmax yields for indistinguishable clients
+            return np.full(len(updates), 1.0 - 1.0 / len(updates)), nu, nu
+        similarity = contribution.similarity_matrix(
+            self._mean_latents(participants, updates), [up.client_id for up in updates]
+        )
+        lam = contribution.contribution_factors(similarity, self.config.temperature)
+        return lam, nu, contribution.normalize_weights(lam, nu)
 
     def run_round(self) -> RoundReport:
-        """Advance the federation by one round and report on it."""
+        """Advance the federation by one round and report on it: sample,
+        train, weigh, fold, evaluate."""
         start = time.perf_counter()
         server = self.server
         participants = self._sample_participants(server.round_index)
-        # a lone participant has no similarity structure to exploit, so its
-        # latent would never be read
-        normalize = self.config.normalize and len(participants) >= 2
-        updates = self._train_clients(participants, normalize)
-
-        nu = strategies.importance(updates)
-        if normalize:
-            latents = [contribution.MeanLatent(up.client_id, up.z) for up in updates]
-            similarity = contribution.similarity_matrix(latents)
-            lam = contribution.contribution_factors(similarity, self.config.temperature)
-            u = contribution.normalize_weights(lam, nu)
-        else:
-            # the reported factor is the uniform value, matching what the
-            # softmax yields for indistinguishable clients
-            lam = np.full(len(updates), 1.0 - 1.0 / len(updates))
-            u = nu
-
+        updates = self._train_clients(participants)
+        lam, nu, u = self._weigh(participants, updates)
         new_params = strategies.aggregate(server.params, updates, u, self.rule)
         accuracy, loss = evaluate(self.spec, new_params, self.test)
         metrics = [
@@ -366,7 +370,9 @@ def _derive_seed(master: int, tag: int, count: int = 1) -> list[int]:
 
 
 def run_experiment(config: RunConfig, on_report=None) -> ExperimentResult:
-    """Build the whole federation from a RunConfig and run every round."""
+    """Build the whole federation from a RunConfig and run every round.
+    The config's cross-key checks run first, as ``config.from_dict``'s do."""
+    cross_validate(config)
     master = config.seed
     # no name holds the unsplit dataset, so it is freed once the split returns
     train, test = data.train_test_split(

@@ -52,8 +52,6 @@ class ClientUpdate:
     weights: np.ndarray
     n: int
     tau: int
-    # the mean latent; only a federation that normalizes asks for it
-    z: np.ndarray | None = None
 
 
 def importance(updates: list[ClientUpdate]) -> np.ndarray:

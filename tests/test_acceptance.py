@@ -32,10 +32,8 @@ def criterion(name, budget_s):
 
 
 def random_similarity(rng, r):
-    latents = [
-        contribution.MeanLatent(i, rng.normal(size=8)) for i in range(r)
-    ]
-    return contribution.similarity_matrix(latents)
+    latents = [rng.normal(size=8) for _ in range(r)]
+    return contribution.similarity_matrix(latents, range(r))
 
 
 def experiment(kind, normalize, alpha, seed, rounds=30):
@@ -110,9 +108,8 @@ class TestHomogeneityNoOp:
         with criterion("homogeneity no-op", budget_s=30.0):
             rng = np.random.default_rng(1003)
             z = rng.normal(size=16)
-            latents = [contribution.MeanLatent(i, z) for i in range(10)]
             lam = contribution.contribution_factors(
-                contribution.similarity_matrix(latents), 0.5
+                contribution.similarity_matrix([z] * 10, range(10)), 0.5
             )
             nu = np.full(10, 1.0 / 10)
             assert_array_equal(contribution.normalize_weights(lam, nu), nu)

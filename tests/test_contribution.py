@@ -11,8 +11,8 @@ from fednorm import contribution as co
 
 def random_similarity(rng, r):
     """A valid similarity matrix built from random unit vectors."""
-    latents = [co.MeanLatent(i, rng.normal(size=6)) for i in range(r)]
-    return co.similarity_matrix(latents)
+    latents = [rng.normal(size=6) for _ in range(r)]
+    return co.similarity_matrix(latents, range(r))
 
 
 class TestCosine:
@@ -52,20 +52,15 @@ class TestCosine:
 
 class TestSimilarityMatrix:
     def test_worked_example(self):
-        latents = [
-            co.MeanLatent(0, np.array([1.0, 0.0])),
-            co.MeanLatent(1, np.array([1.0, 0.0])),
-            co.MeanLatent(2, np.array([0.0, 1.0])),
-        ]
+        latents = [np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         assert_array_equal(
-            co.similarity_matrix(latents),
+            co.similarity_matrix(latents, [0, 1, 2]),
             [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
         )
 
     def test_identical_latents_give_all_ones(self):
         z = np.array([0.3, -1.2, 0.5])
-        latents = [co.MeanLatent(i, z) for i in range(4)]
-        assert_allclose(co.similarity_matrix(latents), 1.0, rtol=0, atol=1e-12)
+        assert_allclose(co.similarity_matrix([z] * 4, range(4)), 1.0, rtol=0, atol=1e-12)
 
     def test_symmetric_unit_diagonal_bounded(self):
         rng = np.random.default_rng(2)
@@ -77,30 +72,28 @@ class TestSimilarityMatrix:
 
     def test_matches_pairwise_cosine(self):
         rng = np.random.default_rng(3)
-        latents = [co.MeanLatent(i, rng.normal(size=5)) for i in range(5)]
-        s = co.similarity_matrix(latents)
+        latents = [rng.normal(size=5) for _ in range(5)]
+        s = co.similarity_matrix(latents, range(5))
         for i in range(5):
             for j in range(5):
                 if i != j:
-                    assert_allclose(s[i, j], co.cosine(latents[i].z, latents[j].z), rtol=1e-12)
+                    assert_allclose(s[i, j], co.cosine(latents[i], latents[j]), rtol=1e-12)
 
     def test_degenerate_latent_names_client(self):
-        latents = [
-            co.MeanLatent(4, np.array([1.0, 0.0])),
-            co.MeanLatent(9, np.zeros(2)),
-        ]
         with pytest.raises(co.DegenerateLatent, match="client 9") as info:
-            co.similarity_matrix(latents)
+            co.similarity_matrix([np.array([1.0, 0.0]), np.zeros(2)], [4, 9])
         assert info.value.client_id == 9
 
     def test_needs_two_clients(self):
         with pytest.raises(ValueError, match=">= 2"):
-            co.similarity_matrix([co.MeanLatent(0, np.ones(3))])
+            co.similarity_matrix([np.ones(3)], [0])
 
     def test_needs_consistent_dims(self):
-        latents = [co.MeanLatent(0, np.ones(3)), co.MeanLatent(1, np.ones(4))]
+        """Latents of one length, and as many of them as client ids."""
         with pytest.raises(ValueError, match="dimensions"):
-            co.similarity_matrix(latents)
+            co.similarity_matrix([np.ones(3), np.ones(4)], [0, 1])
+        with pytest.raises(ValueError, match="3 latents for 2 client ids"):
+            co.similarity_matrix([np.ones(3)] * 3, [0, 1])
 
 
 class TestContributionFactors:

@@ -31,9 +31,8 @@ class TestContributionEquivariance:
     @given(case=latents_and_permutation(), temperature=st.floats(0.05, 5.0))
     def test_permuting_clients_permutes_similarity_and_factors(self, case, temperature):
         z, perm = case
-        latents = [co.MeanLatent(r, z[r]) for r in range(len(z))]
-        s = co.similarity_matrix(latents)
-        s_perm = co.similarity_matrix([latents[p] for p in perm])
+        s = co.similarity_matrix(list(z), range(len(z)))
+        s_perm = co.similarity_matrix([z[p] for p in perm], perm)
         np.testing.assert_allclose(s_perm, s[np.ix_(perm, perm)], rtol=0, atol=1e-12)
 
         lam = co.contribution_factors(s, temperature)
@@ -74,8 +73,7 @@ class TestFactorReach:
     @given(case=latents_and_importance(), temperature=st.floats(0.01, 2.0))
     def test_weight_moved_and_share_raised_are_bounded(self, case, temperature):
         z, nu = case
-        latents = [co.MeanLatent(r, z[r]) for r in range(len(z))]
-        lam = co.contribution_factors(co.similarity_matrix(latents), temperature)
+        lam = co.contribution_factors(co.similarity_matrix(list(z), range(len(z))), temperature)
         u = co.normalize_weights(lam, nu)
         p_nu = (1.0 - lam) @ nu
         assert np.abs(u - nu).sum() <= 2.0 * p_nu / (1.0 - p_nu) + REACH_SLACK

@@ -120,17 +120,19 @@ class TestLocalTrain:
         assert update.n == 100
 
     def test_latent_summary_taken_after_final_epoch(self, build_federation):
-        """Asked for, the mean latent is that of the trained weights over the
-        whole shard; otherwise the update carries none and its weights are
-        the same."""
+        """The mean latent is that of the trained weights over the whole
+        shard, and taking it leaves them as they were; a plain federation
+        trains the same weights."""
         fed = build_federation(normalize=True, epochs=2, batch_size=16)
         client = fed.clients[1]
-        update = fed._train_clients([client], latent=True)[0]
+        update = fed._train_clients([client])[0]
+        trained = update.weights.copy()
+        (z,) = fed._mean_latents([client], [update])
         shard = fed.train.features[client.indices]
-        assert_array_equal(update.z, nn.mean_latent(fed.spec, update.weights, shard))
-        plain = fed._train_clients([client], latent=False)[0]
-        assert plain.z is None
-        assert_array_equal(plain.weights, update.weights)
+        assert_array_equal(z, nn.mean_latent(fed.spec, trained, shard))
+        assert_array_equal(update.weights, trained)
+        plain = build_federation(normalize=False, epochs=2, batch_size=16)
+        assert_array_equal(plain._train_clients([client])[0].weights, trained)
 
     def test_shuffle_depends_on_round(self):
         ds = data.generate_synthetic(2, 3, 20, 3.0, seed=0)
@@ -312,7 +314,7 @@ class TestLocalTrainReference:
     )
     def test_matches_reference_bitwise(self, strategy, kind, lr, activation, wide):
         """Through ``Federation._train_clients`` of a normalizing server,
-        which also takes the client's mean latent."""
+        whose ``_mean_latents`` then takes the client's mean latent."""
         ds, spec, params, client = self.setup(activation, wide)
         rng = np.random.default_rng(33)
         config = cfg.RunConfig(
@@ -336,7 +338,7 @@ class TestLocalTrainReference:
         if strategy.kind == "fedbabu":
             formulas = dict(freeze=spec.layer_span(strategy.head_layer))
         broadcast = params.copy()
-        update = fed._train_clients([client], latent=True)[0]
+        update = fed._train_clients([client])[0]
         # two epochs of 100 samples in batches of 16: the last batch has 4 rows
         weights, tau, z = reference_local_train(
             spec, ds, client, params, kind=kind, lr=lr, epochs=2, batch_size=16,
@@ -345,7 +347,7 @@ class TestLocalTrainReference:
         assert_array_equal(params, broadcast)  # the broadcast vector is left as it was
         assert update.tau == tau == 14
         assert_array_equal(update.weights, weights)
-        assert_array_equal(update.z, z)
+        assert_array_equal(fed._mean_latents([client], [update])[0], z)
         assert not np.array_equal(update.weights, params)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -647,6 +649,15 @@ class TestRunExperiment:
         )
         assert len(result.reports) == 2
         assert len(result.federation.clients) == 2
+
+    def test_python_config_gets_the_cross_key_checks(self):
+        """A RunConfig built in Python is checked as one read from JSON, so
+        three label groups cannot silently stand for ten clients."""
+        config = self.base_config(
+            partition=cfg.LabelSplitPartition(groups=((0,), (1,), (2, 3))), clients=10
+        )
+        with pytest.raises(cfg.ConfigError, match="lists 3 clients but clients = 10"):
+            simulation.run_experiment(config)
 
     def test_experiment_is_reproducible(self):
         first = simulation.run_experiment(self.base_config(seed=11))

@@ -9,11 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from fednorm import data, nn, simulation, strategies
 
 
-def make_update(client_id, weights, n=10, tau=4, z=None):
+def make_update(client_id, weights, n=10, tau=4):
     return strategies.ClientUpdate(
         client_id=client_id,
         weights=np.asarray(weights, dtype=np.float64),
-        z=np.ones(3) if z is None else z,
         n=n,
         tau=tau,
     )
@@ -428,7 +427,7 @@ class TestNormalizationComposability:
         for kind in strategies.STRATEGY_KINDS:
             cfg = strategies.StrategyConfig(kind=kind)
             updates = [
-                make_update(i, rng.normal(size=size), n=20, tau=4, z=z)
+                make_update(i, rng.normal(size=size), n=20, tau=4)
                 for i in range(4)
             ]
             if kind == "fedbabu":
@@ -436,8 +435,8 @@ class TestNormalizationComposability:
                 for up in updates:
                     up.weights[head] = global_params[head]
             nu = strategies.importance(updates)
-            latents = [co.MeanLatent(up.client_id, up.z) for up in updates]
-            lam = co.contribution_factors(co.similarity_matrix(latents), 0.5)
+            ids = [up.client_id for up in updates]
+            lam = co.contribution_factors(co.similarity_matrix([z] * len(ids), ids), 0.5)
             u = co.normalize_weights(lam, nu)
             assert_array_equal(u, nu)
             plain = strategies.aggregate(
