@@ -283,17 +283,19 @@ class OptimizerState:
         self.step = 0
 
 
-def optimizer_step(params, grad, state: OptimizerState):
+def optimizer_step(params, grad, state: OptimizerState, adjust=None):
     """One optimizer update of ``params`` and ``state``, both in place;
     ``state`` must be built for ``len(params)`` parameters.
 
-    Returns ``(params, state)``, the very objects passed in; ``grad`` is left
-    untouched.  Each update is evaluated in the textbook order, so the bits
-    equal those of ``params - lr*grad`` (sgd) and of
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
-    ``params - lr*m_hat / (sqrt(v_hat) + eps)`` (adam).  The vector is walked
-    in blocks of ``BLOCK`` elements, each finished before the next starts;
-    every operation is elementwise, so the blocking changes no bits.
+    Each update is evaluated in the textbook order, so the bits equal those
+    of ``params - lr*grad`` (sgd) and of ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g``, ``params - lr*m_hat / (sqrt(v_hat) + eps)``
+    (adam).  The vector is walked in blocks of ``BLOCK`` elements, each
+    finished before the next starts; every operation is elementwise, so the
+    blocking changes no bits.  Before a block's update, ``adjust(span, p, g,
+    scratch)``, if given, edits its gradient ``g`` in place: ``span`` is the
+    block's slice, ``p``/``g`` its views of ``params``/``grad`` and
+    ``scratch`` a buffer the update overwrites.  Nothing else writes ``grad``.
     """
     t = state.step + 1
     kind, lr = state.settings.kind, state.settings.lr
@@ -301,6 +303,8 @@ def optimizer_step(params, grad, state: OptimizerState):
         span = slice(start, start + BLOCK)
         p, g = params[span], grad[span]
         update = state.scratch[0][: len(p)]
+        if adjust is not None:
+            adjust(span, p, g, update)
         if kind == "sgd":
             np.multiply(g, lr, out=update)
         else:
@@ -322,7 +326,6 @@ def optimizer_step(params, grad, state: OptimizerState):
         if not np.isfinite(p).all():
             raise TrainingDiverged(f"non-finite parameters after step {t}")
     state.step = t
-    return params, state
 
 
 def mean_latent(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Six rules share one interface: plain weighted averaging, a proximal variant,
 control-variate correction, server momentum, step-count normalization and a
 frozen-head variant.  Every rule consumes the same per-round aggregation
-weights, so contribution normalization composes with any of them.
+weights, so contribution normalization composes with any of them.  A rule
+that changes local training hands ``nn.optimizer_step`` a gradient hook.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 
 from . import nn
 
-# a rule's local-training hook: edits a minibatch gradient in place, given the params
-Adjust = Callable[[np.ndarray, np.ndarray], None]
+# a rule's local-training hook: nn.optimizer_step calls adjust(span, params,
+# grad, scratch) on each block, which edits that block's gradient in place
+Adjust = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,9 @@ class FedAvg:
     """Plain weighted averaging; every other rule overrides only what it changes.
 
     ``hooks`` and the ``adjust`` it returns run on a training thread, so
-    they only read the rule's server memory, and the buffers they make are
-    at most one block of ``nn.BLOCK`` elements; ``fold`` alone updates that
-    memory, once the round's clients have all finished."""
+    they only read the rule's server memory and allocate nothing: ``adjust``
+    works in the scratch ``nn.optimizer_step`` hands it.  ``fold`` alone
+    updates that memory, once the round's clients have all finished."""
 
     def __init__(self, cfg: StrategyConfig, spec: nn.ModelSpec, params: np.ndarray,
                  num_clients: int, optimizer: nn.OptimizerSettings):
@@ -117,17 +119,11 @@ class FedProx(FedAvg):
         mu = self.cfg.mu
         if mu == 0:
             return None
-        # one buffer per call: hooks of different clients run on different threads
-        block = np.empty(min(len(global_params), nn.BLOCK))
 
-        def adjust(params, grad):
-            for start in range(0, len(params), nn.BLOCK):
-                span = slice(start, start + nn.BLOCK)
-                p, g = params[span], grad[span]
-                diff = block[: len(p)]
-                np.subtract(p, global_params[span], out=diff)
-                np.multiply(diff, mu, out=diff)
-                g += diff
+        def adjust(span, p, g, scratch):
+            np.subtract(p, global_params[span], out=scratch)
+            np.multiply(scratch, mu, out=scratch)
+            g += scratch
 
         return adjust
 
@@ -149,16 +145,10 @@ class Scaffold(FedAvg):
 
     def hooks(self, global_params, client_id):
         c, c_r = self.c, self.client_c[client_id]
-        block = np.empty(min(len(c), nn.BLOCK))
 
-        def adjust(params, grad):
-            # grad += c - c_r, a block of the correction at a time
-            for start in range(0, len(grad), nn.BLOCK):
-                span = slice(start, start + nn.BLOCK)
-                g = grad[span]
-                correction = block[: len(g)]
-                np.subtract(c[span], c_r[span], out=correction)
-                g += correction
+        def adjust(span, p, g, scratch):
+            np.subtract(c[span], c_r[span], out=scratch)
+            g += scratch
 
         return adjust
 
@@ -230,8 +220,8 @@ class FedBABU(FedAvg):
         self.head = spec.layer_span(cfg.head_layer)
 
     def hooks(self, global_params, client_id):
-        def adjust(params, grad):
-            grad[self.head] = 0.0
+        def adjust(span, p, g, scratch):
+            g[max(self.head.start - span.start, 0) : max(self.head.stop - span.start, 0)] = 0.0
 
         return adjust
 

@@ -225,16 +225,16 @@ class TestOptimizers:
         grad = np.array([2.0, 4.0])
         expected = params - 0.1 * grad  # computed first: the step updates params in place
         state = nn.OptimizerState(nn.OptimizerSettings(kind="sgd", lr=0.1), len(params))
-        new, state = nn.optimizer_step(params, grad, state)
-        assert_array_equal(new, expected)
+        nn.optimizer_step(params, grad, state)
+        assert_array_equal(params, expected)
         assert state.step == 1
 
     def test_sgd_zero_grad_is_fixed_point(self):
         params = np.array([0.3, -0.7, 2.0])
         expected = params.copy()  # the step updates params in place
         state = nn.OptimizerState(nn.OptimizerSettings(kind="sgd", lr=0.5), 3)
-        new, _ = nn.optimizer_step(params, np.zeros(3), state)
-        assert_array_equal(new, expected)
+        nn.optimizer_step(params, np.zeros(3), state)
+        assert_array_equal(params, expected)
 
     def test_adam_matches_scalar_recurrence(self):
         """Three steps against the textbook recurrence evaluated by hand."""
@@ -247,7 +247,7 @@ class TestOptimizers:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             p = p - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-            params, state = nn.optimizer_step(params, np.array([g]), state)
+            nn.optimizer_step(params, np.array([g]), state)
             assert_allclose(params, [p], rtol=1e-15)
         assert state.step == 3
 
@@ -255,17 +255,16 @@ class TestOptimizers:
         params = np.zeros(4)
         grad = np.array([3.0, -2.0, 0.5, 10.0])
         state = nn.OptimizerState(nn.OptimizerSettings(kind="adam", lr=1e-3), 4)
-        new, _ = nn.optimizer_step(params, grad, state)
+        nn.optimizer_step(params, grad, state)
         # first bias-corrected step is -lr * g/(|g| + eps), essentially -lr*sign(g)
-        assert_allclose(new, -1e-3 * np.sign(grad), rtol=1e-7)
+        assert_allclose(params, -1e-3 * np.sign(grad), rtol=1e-7)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_step_updates_params_and_state_in_place(self, kind):
         params = np.ones(3)
         grad = np.full(3, 2.0)
         state = nn.OptimizerState(nn.OptimizerSettings(kind=kind, lr=0.01), 3)
-        new, new_state = nn.optimizer_step(params, grad, state)
-        assert new is params and new_state is state
+        assert nn.optimizer_step(params, grad, state) is None
         assert np.all(params < 1.0)
         assert_array_equal(grad, 2.0)
         assert state.step == 1
@@ -340,7 +339,7 @@ class TestBlockedStep:
         expected, m, v = textbook_steps(kind, params, grads, lr=1e-2)
         state = nn.OptimizerState(nn.OptimizerSettings(kind=kind, lr=1e-2), size)
         for g in grads:
-            params, state = nn.optimizer_step(params, g, state)
+            nn.optimizer_step(params, g, state)
         assert_array_equal(params, expected)
         if kind == "adam":
             assert_array_equal(state.m, m)
@@ -422,7 +421,7 @@ class TestTrainingDeterminism:
             state = nn.OptimizerState(nn.OptimizerSettings(kind="adam", lr=1e-3), len(params))
             for _ in range(20):
                 _, grad = nn.loss_and_grad(spec, params, x, y)
-                params, state = nn.optimizer_step(params, grad, state)
+                nn.optimizer_step(params, grad, state)
             return params
 
         assert_array_equal(train(), train())

@@ -159,8 +159,8 @@ class TestLocalTrain:
         client = simulation.ClientState(7, np.arange(40), seed=1)
         spec = nn.ModelSpec((3, 4, 2))
 
-        def adjust(params, grad):
-            grad += 1e200
+        def adjust(span, p, g, scratch):
+            g += 1e200
 
         with pytest.raises(nn.TrainingDiverged, match=r"client 7 diverged at local step \d+"):
             simulation.local_train(
@@ -172,36 +172,38 @@ class TestLocalTrain:
             )
 
     def test_workspace_training_allocates_less_than_a_parameter_vector(self):
-        """numpy reports its buffers to tracemalloc.  Given a workspace, an
-        output vector and a hook made beforehand, five clients' training, all
-        that runs on a training thread, allocates at its peak less than one
-        parameter vector: no copy of the weights, gradient, moments or an
-        epoch of features."""
+        """numpy reports its buffers to tracemalloc.  Given a workspace and an
+        output vector made beforehand, five clients' training, with each
+        client's hook made as on a training thread, allocates at its peak
+        less than one parameter vector: no copy of the weights, gradient,
+        moments or an epoch of features.  Every rule with a hook is run."""
         ds = data.generate_synthetic(10, 300, 15, 2.0, seed=30)  # 150 samples
         spec = nn.ModelSpec((300, 128, 10))  # 39,818 parameters
         params = nn.init_model(spec, 31)
-        optimizer = nn.OptimizerSettings(kind="adam", lr=1e-2)
-        workspace = simulation.Workspace.create(spec, optimizer, 16)
-        rule = strategies.FedProx(
-            strategies.StrategyConfig(kind="fedprox"), spec, params, 5, optimizer
-        )
         clients = [
             simulation.ClientState(r, np.arange(30 * r, 30 * r + 30), seed=r) for r in range(5)
         ]
-        jobs = [(c, rule.hooks(params, c.client_id), np.empty_like(params)) for c in clients]
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            for client, adjust, out in jobs:
-                simulation.local_train(
-                    spec, ds, client, params, epochs=2, batch_size=16, round_index=0,
-                    workspace=workspace, adjust=adjust, out=out,
-                )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base < 8 * spec.param_count()
-        assert not np.array_equal(jobs[0][2], params)
+        for kind, optimizer in (("fedprox", "adam"), ("scaffold", "sgd"), ("fedbabu", "adam")):
+            optimizer = nn.OptimizerSettings(kind=optimizer, lr=1e-2)
+            workspace = simulation.Workspace.create(spec, optimizer, 16)
+            rule = strategies.RULES[kind](
+                strategies.StrategyConfig(kind=kind), spec, params, 5, optimizer
+            )
+            outs = [np.empty_like(params) for _ in clients]
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                for client, out in zip(clients, outs):
+                    simulation.local_train(
+                        spec, ds, client, params, epochs=2, batch_size=16, round_index=0,
+                        workspace=workspace, adjust=rule.hooks(params, client.client_id),
+                        out=out,
+                    )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - base < 8 * spec.param_count(), kind
+            assert not np.array_equal(outs[0], params), kind
 
 
 def reference_forward(spec, params, x):
@@ -410,20 +412,20 @@ class TestRoundThreads:
 
     def test_small_model_trains_serially(self, machine):
         machine(cores=8, blas=1)
-        assert simulation.round_threads(2 * nn.BLOCK - 1, 50) == 1
-        assert simulation.round_threads(2 * nn.BLOCK, 50) == 8
+        assert simulation.round_threads(simulation.THREAD_MIN_PARAMS - 1, 50) == 1
+        assert simulation.round_threads(simulation.THREAD_MIN_PARAMS, 50) == 8
 
     @pytest.mark.parametrize("blas", [None, 4, 6])
     def test_blas_on_every_core_keeps_the_round_serial(self, machine, blas):
         machine(cores=4, blas=blas)
-        assert simulation.round_threads(10 * nn.BLOCK, 50) == 1
+        assert simulation.round_threads(5 * simulation.THREAD_MIN_PARAMS, 50) == 1
 
     @pytest.mark.parametrize("participants, expected", [(1, 1), (3, 3), (4, 4), (50, 4)])
     def test_pinned_blas_gives_a_thread_per_core_and_participant(
         self, machine, participants, expected
     ):
         machine(cores=4, blas=1)
-        assert simulation.round_threads(10 * nn.BLOCK, participants) == expected
+        assert simulation.round_threads(5 * simulation.THREAD_MIN_PARAMS, participants) == expected
 
     def test_blas_threads_is_a_count_or_unknown(self):
         threads = simulation.blas_threads()

@@ -1,5 +1,6 @@
 """Aggregation-rule checks: importance, gradient hooks, reductions between strategies."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -86,9 +87,14 @@ class TestRuleTable:
 
 
 def adjusted(adjust, params, grad):
-    """What ``adjust`` makes of a copy of ``grad``; ``params`` must stay as it is."""
+    """What ``adjust`` makes of a copy of ``grad`` when called block by block,
+    as ``nn.optimizer_step`` calls it; ``params`` must stay as it is."""
     before, out = params.copy(), grad.copy()
-    adjust(params, out)
+    scratch = np.empty(min(len(params), nn.BLOCK))
+    for start in range(0, len(params), nn.BLOCK):
+        span = slice(start, start + nn.BLOCK)
+        p, g = params[span], out[span]
+        adjust(span, p, g, scratch[: len(p)])
     assert_array_equal(params, before)
     return out
 
@@ -116,20 +122,61 @@ class TestLocalHooks:
         anchor, params, other, grad = self.vectors(1, 4)
         cfg = strategies.StrategyConfig(kind="fedprox", mu=0.2)
         adjust = fresh_rule(cfg, self.spec, anchor, 1).hooks(anchor, 0)
-        # the hook's buffer is reused: a second call sees only its own params
+        # one hook serves call after call, each seeing only its own params
         for p in (params, other, params):
             assert_array_equal(adjusted(adjust, p, grad), grad + (p - anchor) * 0.2)
 
-    def test_fedprox_hook_covers_every_block(self):
-        """On a vector of two blocks and a ragged third, one ``adjust`` call
-        gives the whole-vector bits, call after call."""
+    def test_hooks_cover_every_block(self):
+        """Called by ``nn.optimizer_step`` block by block, ragged last block
+        included, every hook gives the bits of its whole-vector correction
+        followed by a plain sgd or adam step, step after step: each block's
+        hook sees that block's params before their update.  The fedbabu
+        heads straddle block boundaries or lie wholly inside the last block,
+        with whole blocks before and after them."""
         size = 2 * nn.BLOCK + 123
         rng = np.random.default_rng(5)
-        anchor, params, other, grad = (rng.normal(size=size) for _ in range(4))
-        cfg = strategies.StrategyConfig(kind="fedprox", mu=0.3)
-        adjust = fresh_rule(cfg, None, anchor, 1).hooks(anchor, 0)
-        for p in (params, other, params):
-            assert_array_equal(adjusted(adjust, p, grad), grad + (p - anchor) * 0.3)
+        anchor, c, c_r = (rng.normal(size=size) for _ in range(3))
+        prox = fresh_rule(strategies.StrategyConfig(kind="fedprox", mu=0.3), None, anchor, 1)
+        scaffold = fresh_rule(strategies.StrategyConfig(kind="scaffold"), None, anchor, 2)
+        scaffold.c, scaffold.client_c[1] = c, c_r
+        # layers span [0, 60200), [60200, 100400) and [100400, 102410)
+        babu_spec = nn.ModelSpec((300, 200, 200, 10))
+
+        def frozen(head):
+            def correct(p, g):
+                g = g.copy()
+                g[head] = 0.0
+                return g
+
+            return correct
+
+        cases = [
+            ("fedprox", size, prox.hooks(anchor, 0), lambda p, g: g + 0.3 * (p - anchor)),
+            ("scaffold", size, scaffold.hooks(anchor, 1), lambda p, g: g + (c - c_r)),
+        ]
+        for head_layer in (0, 1, -1):
+            cfg = strategies.StrategyConfig(kind="fedbabu", head_layer=head_layer)
+            babu_params = np.zeros(babu_spec.param_count())
+            babu = fresh_rule(cfg, babu_spec, babu_params, 1)
+            cases.append((
+                f"fedbabu head {head_layer}", len(babu_params),
+                babu.hooks(babu_params, 0), frozen(babu_spec.layer_span(head_layer)),
+            ))
+        for kind, (name, n, adjust, correct) in itertools.product(("sgd", "adam"), cases):
+            settings = nn.OptimizerSettings(kind=kind, lr=1e-2)
+            params = rng.normal(size=n)
+            expected = params.copy()
+            state, plain = nn.OptimizerState(settings, n), nn.OptimizerState(settings, n)
+            for _ in range(3):
+                grad = rng.normal(size=n)
+                corrected = correct(expected, grad)
+                nn.optimizer_step(expected, corrected, plain)
+                nn.optimizer_step(params, grad, state, adjust)
+                assert_array_equal(grad, corrected, err_msg=f"{name}, {kind}")
+                assert_array_equal(params, expected, err_msg=f"{name}, {kind}")
+            if kind == "adam":
+                assert_array_equal(state.m, plain.m, err_msg=name)
+                assert_array_equal(state.v, plain.v, err_msg=name)
 
     def test_fedprox_gradient_matches_finite_differences(self):
         """``loss_and_grad`` plus the hook is the gradient of the cross-entropy
