@@ -3,6 +3,10 @@
 Covers three sources of client shards: synthetic Gaussian blobs, IDX image
 files (the ubiquitous big-endian handwritten-digit layout) and two partition
 schemes, a Dirichlet draw over class proportions and an explicit label split.
+
+IDX pixels stay uint8 until the train/test split: ``read_idx`` returns the
+file's rows as ``IdxImages``, and ``train_test_split`` scales each side to
+float64 as it gathers it, so no float64 copy of the unsplit set is made.
 """
 
 from __future__ import annotations
@@ -116,25 +120,46 @@ def _read_idx_header(raw: bytes, path: Path, expected_magic: int, ndim: int):
     return fields[1:], header
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Read an IDX image/label file pair into flat [0, 1] feature rows.
+@dataclass
+class IdxImages:
+    """The rows of an IDX image/label file pair as read: (N, d) uint8 pixels.
 
-    Images are flattened row-major and scaled by 1/255.  Errors out on wrong
-    magic numbers, truncated payloads, a count mismatch between the two files
-    and on empty files.
+    ``subset`` gathers rows as uint8 and scales only those to float64, so a
+    split makes one float64 copy of each side and none of the whole file.
+    ``class_count`` comes from the whole label file.
+    """
+
+    pixels: np.ndarray
+    labels: np.ndarray
+    class_count: int
+
+    def __len__(self) -> int:
+        return len(self.pixels)
+
+    def subset(self, indices: np.ndarray) -> Dataset:
+        # bit-equal to astype(np.float64) followed by /= 255.0, for every byte
+        features = np.divide(self.pixels[indices], 255.0, dtype=np.float64)
+        return Dataset(features, self.labels[indices], self.class_count)
+
+
+def read_idx(images_path, labels_path) -> IdxImages:
+    """Read an IDX image/label file pair into flat uint8 pixel rows.
+
+    Images are flattened row-major.  Errors out on wrong magic numbers,
+    truncated payloads, images of zero pixels, a count mismatch between the
+    two files and on empty files.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     raw = images_path.read_bytes()
     (count, rows, cols), header = _read_idx_header(raw, images_path, IDX_IMAGE_MAGIC, 3)
+    if rows * cols == 0:
+        raise ValueError(f"{images_path}: images have no pixels ({rows}x{cols})")
     expected = header + count * rows * cols
     if len(raw) < expected:
         raise ValueError(
             f"{images_path}: truncated pixel data, {len(raw)} bytes < {expected}"
         )
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=header)
-    # scaled in place: one float64 copy of the pixels, not two
-    features = pixels.reshape(count, rows * cols).astype(np.float64)
-    features /= 255.0
 
     raw = labels_path.read_bytes()
     (label_count,), header = _read_idx_header(raw, labels_path, IDX_LABEL_MAGIC, 1)
@@ -148,7 +173,17 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
     if count == 0:
         raise ValueError(f"{images_path}: file contains no images")
-    return Dataset(features, labels.astype(np.int64), int(labels.max()) + 1)
+    return IdxImages(pixels.reshape(count, rows * cols), labels, int(labels.max()) + 1)
+
+
+def load_idx(images_path, labels_path) -> Dataset:
+    """Read an IDX image/label file pair into flat [0, 1] feature rows.
+
+    The float64 ``Dataset`` of every row of ``read_idx``, scaled by 1/255.
+    A run splits the ``read_idx`` rows instead, so it never holds this copy.
+    """
+    images = read_idx(images_path, labels_path)
+    return images.subset(np.arange(len(images)))
 
 
 def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -237,11 +272,16 @@ def partition_label_split(dataset: Dataset, groups) -> PartitionPlan:
     return PartitionPlan(assignments)
 
 
-def train_test_split(dataset: Dataset, test_fraction: float, seed: int):
-    """Shuffled split into (train, test); the test part is held out for eval."""
+def train_test_split(dataset: Dataset | IdxImages, test_fraction: float, seed: int):
+    """Shuffled split into (train, test) ``Dataset``s; the test part is held
+    out for eval.  Each side is ``dataset.subset`` of its sorted indices."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = len(dataset)
+    if n < 2:
+        raise ValueError(
+            f"train/test split needs at least 2 samples, one per side, got {n}"
+        )
     n_test = int(round(n * test_fraction))
     n_test = min(max(n_test, 1), n - 1)
     order = np.random.default_rng(seed).permutation(n)

@@ -399,11 +399,12 @@ def run_experiment(config: RunConfig, on_report=None) -> ExperimentResult:
     return ExperimentResult(reports=reports, federation=federation)
 
 
-def _build_dataset(config, seed: int) -> data.Dataset:
+def _build_dataset(config, seed: int) -> data.Dataset | data.IdxImages:
+    """The unsplit samples; IDX pixels stay uint8 until the split scales each side."""
     ds = config.dataset
     if ds.kind == "synthetic":
         return data.generate_synthetic(ds.classes, ds.dims, ds.per_class, ds.spread, seed)
-    return data.load_idx(ds.images, ds.labels)
+    return data.read_idx(ds.images, ds.labels)
 
 
 def _build_partition(config, train: data.Dataset, seed: int) -> data.PartitionPlan:

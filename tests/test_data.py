@@ -116,6 +116,26 @@ class TestIdxLoading:
         with pytest.raises(ValueError, match="no images"):
             data.load_idx(images, labels)
 
+    def test_zero_pixel_images_rejected_naming_the_file(self, tmp_path):
+        """A header with rows = 0 would otherwise load as (N, 0) features and
+        fail later in the model with a message that names no file."""
+        images, labels = write_idx_pair(tmp_path, [], labels=[0, 1], rows=0, cols=28)
+        with pytest.raises(ValueError, match=r"images\.idx: images have no pixels \(0x28\)"):
+            data.read_idx(images, labels)
+
+    def test_read_rows_stay_uint8_and_subset_scales_them(self, tmp_path):
+        pixels = np.arange(256, dtype=np.uint8)[::-1]
+        images, labels = write_idx_pair(tmp_path, pixels, labels=[2, 0, 1, 2], rows=8, cols=8)
+        raw = data.read_idx(images, labels)
+        assert raw.pixels.dtype == np.uint8 and raw.pixels.shape == (4, 64)
+        assert len(raw) == 4 and raw.class_count == 3
+        part = raw.subset(np.array([1, 3]))
+        assert part.class_count == 3
+        assert_array_equal(part.labels, [0, 2])
+        expected = pixels.reshape(4, 64)[[1, 3]].astype(np.float64)
+        expected /= 255.0
+        assert_array_equal(part.features.view(np.uint64), expected.view(np.uint64))
+
 
 class TestDirichletPartition:
     def test_contract_on_random_configs(self):
@@ -275,3 +295,13 @@ class TestTrainTestSplit:
         ds = balanced_dataset(classes=4, per_class=25)
         with pytest.raises(ValueError, match="test_fraction"):
             data.train_test_split(ds, 1.0, seed=0)
+
+    def test_one_sample_is_rejected_naming_the_split_and_the_count(self, tmp_path):
+        """One sample cannot fill both sides; without the check the empty
+        test side would fail with a message about an empty dataset."""
+        one = data.Dataset(np.ones((1, 3)), np.array([0]), class_count=1)
+        with pytest.raises(ValueError, match="train/test split needs at least 2 samples.*got 1"):
+            data.train_test_split(one, 0.2, seed=0)
+        images, labels = write_idx_pair(tmp_path, [7] * 4, labels=[0])
+        with pytest.raises(ValueError, match="train/test split .* got 1"):
+            data.train_test_split(data.read_idx(images, labels), 0.2, seed=0)

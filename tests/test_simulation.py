@@ -1,5 +1,6 @@
 """Round-loop checks: local training, reporting, determinism, parallelism."""
 
+import struct
 import sys
 import threading
 import tracemalloc
@@ -175,10 +176,11 @@ class TestLocalTrain:
         """numpy reports its buffers to tracemalloc.  Given a workspace and an
         output vector made beforehand, five clients' training, with each
         client's hook made as on a training thread, allocates at its peak
-        less than one parameter vector: no copy of the weights, gradient,
-        moments or an epoch of features.  Every rule with a hook is run."""
+        less than one ``nn.BLOCK`` of float64 on a model of several blocks:
+        no copy of the weights, gradient, moments or an epoch of features,
+        and no per-block buffer in a hook.  Every rule with a hook is run."""
         ds = data.generate_synthetic(10, 300, 15, 2.0, seed=30)  # 150 samples
-        spec = nn.ModelSpec((300, 128, 10))  # 39,818 parameters
+        spec = nn.ModelSpec((300, 256, 10))  # 79,626 parameters, 2.4 blocks
         params = nn.init_model(spec, 31)
         clients = [
             simulation.ClientState(r, np.arange(30 * r, 30 * r + 30), seed=r) for r in range(5)
@@ -202,7 +204,7 @@ class TestLocalTrain:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak - base < 8 * spec.param_count(), kind
+            assert peak - base < 8 * nn.BLOCK, kind
             assert not np.array_equal(outs[0], params), kind
 
 
@@ -678,6 +680,52 @@ class TestRunExperiment:
         assert [[c.client_id for c in r.clients] for r in result.reports] == [
             [0, 1, 5, 7, 9], [1, 2, 3, 4, 5], [2, 4, 5, 7, 9], [0, 2, 4, 5, 9],
         ]
+
+    def test_idx_experiment_splits_the_bits_of_load_idx_without_an_unsplit_copy(self, tmp_path):
+        """An IDX run's train and test sides are bit-equal to splitting
+        ``load_idx``'s float64 dataset, for every byte value, and its set-up
+        allocates, beyond the features it keeps, less than one float64 copy
+        of the unsplit pixels: it scales each side, never the whole file."""
+        count, side = 256, 16
+        pixels = np.random.default_rng(7).permutation(
+            np.tile(np.arange(256, dtype=np.uint8), count * side * side // 256)
+        )
+        classes = (np.arange(count) % 4).astype(np.uint8)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(
+            struct.pack(">IIII", data.IDX_IMAGE_MAGIC, count, side, side) + pixels.tobytes()
+        )
+        labels.write_bytes(struct.pack(">II", data.IDX_LABEL_MAGIC, count) + classes.tobytes())
+        config = self.base_config(
+            dataset=cfg.IdxData(images=str(images), labels=str(labels)), rounds=1, seed=3
+        )
+        result = simulation.run_experiment(config)
+        assert np.isfinite(result.reports[0].accuracy)
+        expected = data.train_test_split(
+            data.load_idx(images, labels),
+            config.test_fraction,
+            simulation._derive_seed(config.seed, simulation._TAG_SPLIT)[0],
+        )
+        sides = (result.federation.train, result.federation.test)
+        for side_data, reference in zip(sides, expected):
+            assert_array_equal(
+                side_data.features.view(np.uint64), reference.features.view(np.uint64)
+            )
+            assert_array_equal(side_data.labels, reference.labels)
+            assert side_data.class_count == reference.class_count == 4
+
+        # the run above has made every lazy allocation of the set-up path
+        tracemalloc.start()
+        try:
+            federation = simulation.run_experiment(
+                self.base_config(dataset=config.dataset, rounds=0, seed=3)
+            ).federation
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = federation.train.features.nbytes + federation.test.features.nbytes
+        assert kept == 8 * count * side * side
+        assert peak - kept < 8 * count * side * side
 
     def test_unsplit_dataset_is_freed_before_the_first_round(self, monkeypatch):
         """Only the train and test parts outlive the split."""
