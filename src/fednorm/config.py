@@ -9,8 +9,9 @@ cannot silently fall back to defaults.
 Each key is declared once, on a field of its section's dataclass: its name,
 its default (MISSING: required) and a metadata ``check`` that turns the JSON
 value into the field value or raises a ConfigError naming the key (none: the
-plain type check of the default).  Parsing and ``RunConfig.to_dict`` derive
-from these fields.
+plain type check of the default).  A RunConfig runs these checks on each
+field's JSON form, then the checks that span keys, however it is built; so a
+Python value must be one JSON gives.  ``RunConfig.to_dict`` writes that form.
 """
 
 from __future__ import annotations
@@ -71,17 +72,17 @@ def _as_bool(value, name) -> bool:
 
 
 def _as_sizes(value, name) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
+    if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
     return tuple(_as_int(h, name, minimum=1) for h in value)
 
 
 def _as_groups(value, name) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(value, (list, tuple)) or not value:
+    if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a non-empty list of class lists, got {value!r}")
     groups = []
     for i, group in enumerate(value):
-        if not isinstance(group, (list, tuple)) or not group:
+        if not isinstance(group, list) or not group:
             raise ConfigError(f"{name}[{i}] must be a non-empty list of classes")
         groups.append(tuple(_as_int(c, f"{name}[{i}]", minimum=0) for c in group))
     return tuple(groups)
@@ -114,6 +115,8 @@ def _as_object(value, name, *, cls):
             raise ConfigError(f"missing required config key: {prefix}{key}")
     try:
         return cls(**values)
+    except ConfigError:  # a RunConfig's own checks name their keys
+        raise
     except ValueError as exc:
         # StrategyConfig and nn.OptimizerSettings check their own ranges;
         # the message names the field
@@ -199,6 +202,28 @@ class RunConfig:
     test_fraction: float = _key(0.2, _as_real, low=0.0, low_open=True, high=1.0, high_open=True)
     out: str = "runs/out"
 
+    def __post_init__(self):
+        # from_dict, the constructor and dataclasses.replace all check here:
+        # each field's JSON form, then the checks that span keys
+        for f in fields(self):
+            check = f.metadata.get("check") or _PLAIN_CHECKS[type(f.default)]
+            object.__setattr__(self, f.name, check(_to_json(getattr(self, f.name)), f.name))
+        if self.partition.kind == "dirichlet" and self.clients < 2:
+            raise ConfigError(f"dirichlet partitioning needs clients >= 2, got {self.clients}")
+        if self.partition.kind == "label_split" and len(self.partition.groups) != self.clients:
+            raise ConfigError(
+                f"partition.groups lists {len(self.partition.groups)} clients "
+                f"but clients = {self.clients}"
+            )
+        if self.strategy.kind == "scaffold" and self.optimizer.kind != "sgd":
+            raise ConfigError("strategy scaffold requires optimizer.kind = sgd")
+        layers = len(self.hidden_sizes) + 1
+        if not -layers <= self.strategy.head_layer < layers:
+            raise ConfigError(
+                f"strategy.head_layer must lie in [{-layers}, {layers - 1}] for a model "
+                f"with {layers} layers, got {self.strategy.head_layer}"
+            )
+
     def to_dict(self) -> dict:
         """The config as JSON data that ``from_dict`` reads back unchanged."""
         return _to_json(self)
@@ -217,28 +242,7 @@ def _to_json(value):
 
 def from_dict(data: dict) -> RunConfig:
     """Validate a raw JSON object into a RunConfig."""
-    cfg = _as_object(data, "", cls=RunConfig)
-    cross_validate(cfg)
-    return cfg
-
-
-def cross_validate(cfg: RunConfig):
-    """The checks that span keys, for a RunConfig from JSON or from Python."""
-    if cfg.partition.kind == "dirichlet" and cfg.clients < 2:
-        raise ConfigError(f"dirichlet partitioning needs clients >= 2, got {cfg.clients}")
-    if cfg.partition.kind == "label_split" and len(cfg.partition.groups) != cfg.clients:
-        raise ConfigError(
-            f"partition.groups lists {len(cfg.partition.groups)} clients "
-            f"but clients = {cfg.clients}"
-        )
-    if cfg.strategy.kind == "scaffold" and cfg.optimizer.kind != "sgd":
-        raise ConfigError("strategy scaffold requires optimizer.kind = sgd")
-    layers = len(cfg.hidden_sizes) + 1
-    if not -layers <= cfg.strategy.head_layer < layers:
-        raise ConfigError(
-            f"strategy.head_layer must lie in [{-layers}, {layers - 1}] for a model "
-            f"with {layers} layers, got {cfg.strategy.head_layer}"
-        )
+    return _as_object(data, "", cls=RunConfig)
 
 
 def parse_bool_flag(text: str) -> bool:

@@ -48,6 +48,10 @@ class ModelSpec:
     _count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for s in self.layer_sizes:
+            # int() would read 8.7 as 8 and True as 1
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s <= 0:
+                raise ValueError(f"layer sizes must be positive integers, got {s!r}")
         sizes = tuple(int(s) for s in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 3:
@@ -55,8 +59,6 @@ class ModelSpec:
                 "layer_sizes needs input, at least one hidden and an output entry, "
                 f"got {sizes}"
             )
-        if any(s <= 0 for s in sizes):
-            raise ValueError(f"layer sizes must be positive, got {sizes}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(
                 f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"

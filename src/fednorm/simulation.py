@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contribution, data, nn, strategies
-from .config import RunConfig, cross_validate
+from .config import RunConfig
 
 
 @dataclass
@@ -209,26 +209,23 @@ def round_threads(param_count: int, participants: int) -> int:
 @dataclass
 class Federation:
     """The full simulation: the run's ``RunConfig``, whose settings it reads,
-    datasets, clients, server state and model shape.  The rule, which alone
-    holds the strategy's state, and the sampling seed are derived from the
-    config once; the training threads' workspaces are made on first need and
-    kept."""
+    datasets, clients and server state.  The model, the rule, which alone holds
+    the strategy's state, and the sampling seed are derived from the config
+    once; the training threads' workspaces are made on first need and kept."""
 
     config: RunConfig
     train: data.Dataset
     test: data.Dataset
     clients: list[ClientState]
     server: ServerState
-    spec: nn.ModelSpec
+    spec: nn.ModelSpec = field(init=False)
     rule: strategies.FedAvg = field(init=False, repr=False)
     sample_seed: int = field(init=False, repr=False)
     workspaces: list[Workspace] = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         config = self.config
-        # a RunConfig built in Python skips from_dict's key checks
-        if not 0.0 < config.participation <= 1.0:
-            raise ValueError(f"participation must be in (0, 1], got {config.participation}")
+        self.spec = model_spec(config, self.train)
         self.rule = strategies.RULES[config.strategy.kind](
             config.strategy, self.spec, self.server.params, len(self.clients), config.optimizer
         )
@@ -372,10 +369,13 @@ def _derive_seed(master: int, tag: int, count: int = 1) -> list[int]:
     return [int(s) for s in state]
 
 
+def model_spec(config: RunConfig, train: data.Dataset) -> nn.ModelSpec:
+    """The model a run trains on ``train``: the config's hidden layers and activation."""
+    return nn.ModelSpec((train.dim, *config.hidden_sizes, train.class_count), config.activation)
+
+
 def run_experiment(config: RunConfig, on_report=None) -> ExperimentResult:
-    """Build the whole federation from a RunConfig and run every round.
-    The config's cross-key checks run first, as ``config.from_dict``'s do."""
-    cross_validate(config)
+    """Build the whole federation from a RunConfig and run every round."""
     master = config.seed
     # no name holds the unsplit dataset, so it is freed once the split returns
     train, test = data.train_test_split(
@@ -385,16 +385,10 @@ def run_experiment(config: RunConfig, on_report=None) -> ExperimentResult:
     )
     plan = _build_partition(config, train, _derive_seed(master, _TAG_PARTITION)[0])
 
-    spec = nn.ModelSpec(
-        (train.dim, *config.hidden_sizes, train.class_count), config.activation
-    )
-    params = nn.init_model(spec, _derive_seed(master, _TAG_INIT)[0])
-    client_seeds = _derive_seed(master, _TAG_CLIENT, count=plan.num_clients)
-    clients = [
-        ClientState(r, plan.assignments[r], client_seeds[r])
-        for r in range(plan.num_clients)
-    ]
-    federation = Federation(config, train, test, clients, ServerState(params), spec)
+    params = nn.init_model(model_spec(config, train), _derive_seed(master, _TAG_INIT)[0])
+    seeds = _derive_seed(master, _TAG_CLIENT, count=plan.num_clients)
+    clients = [ClientState(r, plan.assignments[r], seeds[r]) for r in range(plan.num_clients)]
+    federation = Federation(config, train, test, clients, ServerState(params))
     reports = federation.run(config.rounds, on_report)
     return ExperimentResult(reports=reports, federation=federation)
 

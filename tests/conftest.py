@@ -18,7 +18,8 @@ def _build_federation(
     shared_client_seed=100,
     epochs=1,
     batch_size=32,
-    hidden=8,
+    hidden_sizes=(8,),
+    activation="relu",
 ):
     """Small hand-wired federation on a synthetic 3-class problem.  Shared
     shards give every client the whole training set and one client seed."""
@@ -30,8 +31,6 @@ def _build_federation(
     else:
         shards = np.array_split(np.arange(len(train)), num_clients)
         seeds = [100 + i for i in range(num_clients)]
-    spec = nn.ModelSpec((6, hidden, 3))
-    params = nn.init_model(spec, seed + 2)
     clients = [simulation.ClientState(i, shards[i], seeds[i]) for i in range(num_clients)]
     config = cfg.RunConfig(
         dataset=cfg.SyntheticData(classes=3, dims=6, per_class=40, spread=3.0),
@@ -41,14 +40,14 @@ def _build_federation(
         participation=participation,
         epochs=epochs,
         batch_size=batch_size,
-        hidden_sizes=(hidden,),
+        hidden_sizes=hidden_sizes,
+        activation=activation,
         normalize=normalize,
         seed=seed,
         test_fraction=0.25,
     )
-    return simulation.Federation(
-        config, train, test, clients, simulation.ServerState(params), spec
-    )
+    params = nn.init_model(simulation.model_spec(config, train), seed + 2)
+    return simulation.Federation(config, train, test, clients, simulation.ServerState(params))
 
 
 @pytest.fixture

@@ -116,7 +116,7 @@ class TestHomogeneityNoOp:
 
             def shared_shard_federation(normalize):
                 return build_federation(
-                    normalize=normalize, seed=42, hidden=16, num_clients=10,
+                    normalize=normalize, seed=42, hidden_sizes=(16,), num_clients=10,
                     shared_shards=True, shared_client_seed=77, epochs=2, batch_size=64,
                 )
 

@@ -1,5 +1,7 @@
 """Network checks: parameter layout, forward pass, gradients, optimizers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +82,13 @@ class TestModelSpec:
     def test_rejects_nonpositive_sizes(self):
         with pytest.raises(ValueError, match="positive"):
             nn.ModelSpec((4, 0, 2))
+
+    def test_rejects_non_integer_sizes(self):
+        """int() would make 8.7 an 8-unit and True a 1-unit layer."""
+        for bad in (8.7, 8.0, True, np.float64(8)):
+            with pytest.raises(ValueError, match=re.escape(f"positive integers, got {bad!r}")):
+                nn.ModelSpec((6, bad, 3))
+        assert nn.ModelSpec((np.int64(6), np.int32(8), 3)).layer_sizes == (6, 8, 3)
 
     def test_rejects_unknown_activation(self):
         with pytest.raises(ValueError, match="activation"):

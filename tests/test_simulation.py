@@ -1,5 +1,6 @@
 """Round-loop checks: local training, reporting, determinism, parallelism."""
 
+import dataclasses
 import struct
 import sys
 import threading
@@ -324,12 +325,11 @@ class TestLocalTrainReference:
         config = cfg.RunConfig(
             dataset=cfg.SyntheticData(), strategy=strategy,
             optimizer=nn.OptimizerSettings(kind=kind, lr=lr), epochs=2, batch_size=16,
+            hidden_sizes=spec.layer_sizes[1:-1], activation=spec.activation,
         )
         server = simulation.ServerState(params, round_index=4)
         # the rule keeps per-client memory for as many clients as the list holds
-        fed = simulation.Federation(
-            config, ds, ds, [client] * (client.client_id + 1), server, spec
-        )
+        fed = simulation.Federation(config, ds, ds, [client] * (client.client_id + 1), server)
         rule = fed.rule
         formulas = {}
         if strategy.kind == "fedprox":
@@ -560,7 +560,7 @@ class TestDeterminism:
         [pytest.param(kind, {}, 4, id=kind) for kind in strategies.STRATEGY_KINDS]
         # 40,963 parameters and eight steps per client: the clients' fedprox
         # hooks walk their blocks at the same time
-        + [pytest.param("fedprox", dict(hidden=4096, batch_size=4, epochs=2), 2,
+        + [pytest.param("fedprox", dict(hidden_sizes=(4096,), batch_size=4, epochs=2), 2,
                         id="fedprox-wide"),
            pytest.param("fedavg", dict(normalize=False), 4, id="fedavg-plain")],
     )
@@ -657,11 +657,47 @@ class TestRunExperiment:
     def test_python_config_gets_the_cross_key_checks(self):
         """A RunConfig built in Python is checked as one read from JSON, so
         three label groups cannot silently stand for ten clients."""
-        config = self.base_config(
-            partition=cfg.LabelSplitPartition(groups=((0,), (1,), (2, 3))), clients=10
-        )
         with pytest.raises(cfg.ConfigError, match="lists 3 clients but clients = 10"):
-            simulation.run_experiment(config)
+            self.base_config(
+                partition=cfg.LabelSplitPartition(groups=((0,), (1,), (2, 3))), clients=10
+            )
+
+    PYTHON_VALUES = [
+        ("normalize", "false", "false"),
+        ("hidden_sizes", (8.7,), [8.7]),
+        ("participation", True, True),
+        ("seed", -1, -1),
+        ("rounds", 2.0, 2.0),
+        ("dataset", cfg.SyntheticData(per_class=0), {"kind": "synthetic", "per_class": 0}),
+        ("partition", cfg.DirichletPartition(alpha=0.0), {"alpha": 0.0}),
+    ]
+
+    @pytest.mark.parametrize("build", ["constructor", "replace"])
+    @pytest.mark.parametrize(
+        "key, value, raw", PYTHON_VALUES, ids=[key for key, _, _ in PYTHON_VALUES]
+    )
+    def test_python_config_is_checked_like_json(self, build, key, value, raw):
+        """A value given in Python fails with the message its JSON gets from
+        ``from_dict``, whether the config is built or replaced."""
+        valid = self.base_config()
+        with pytest.raises(cfg.ConfigError) as from_json:
+            cfg.from_dict(dict(valid.to_dict(), **{key: raw}))
+        with pytest.raises(cfg.ConfigError) as from_python:
+            if build == "replace":
+                dataclasses.replace(valid, **{key: value})
+            else:
+                self.base_config(**{key: value})
+        assert key in str(from_json.value)
+        assert str(from_python.value) == str(from_json.value)
+
+    def test_federation_trains_the_model_its_config_describes(self, build_federation):
+        shape = dict(hidden_sizes=(7, 5), activation="tanh")
+        built = build_federation(**shape)
+        built.run(1)
+        for fed in (built, simulation.run_experiment(self.base_config(**shape)).federation):
+            train = fed.train
+            assert fed.spec == nn.ModelSpec((train.dim, 7, 5, train.class_count), "tanh")
+            assert fed.server.params.shape == (fed.spec.param_count(),)
 
     def test_experiment_is_reproducible(self):
         first = simulation.run_experiment(self.base_config(seed=11))

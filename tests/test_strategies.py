@@ -85,6 +85,14 @@ class TestRuleTable:
         for rule in strategies.RULES.values():
             assert issubclass(rule, strategies.FedAvg)
 
+    def test_scaffold_requires_sgd(self):
+        """A rule built without a RunConfig still checks its local optimizer."""
+        with pytest.raises(ValueError, match="scaffold requires the sgd local optimizer, got 'adam'"):
+            fresh_rule(
+                strategies.StrategyConfig(kind="scaffold"), None, np.zeros(4),
+                optimizer=nn.OptimizerSettings(),
+            )
+
 
 def adjusted(adjust, params, grad):
     """What ``adjust`` makes of a copy of ``grad`` when called block by block,
