@@ -1,6 +1,6 @@
 """Federated-learning simulator with latent-similarity contribution weighting."""
 
-from .config import RunConfig, ConfigError
+from .config import ConfigError, OptimizerSettings, RunConfig, StrategyConfig
 from .contribution import (
     DegenerateLatent,
     contribution_factors,
@@ -17,9 +17,9 @@ from .data import (
     partition_label_split,
     train_test_split,
 )
-from .nn import ModelSpec, OptimizerSettings, OptimizerState, TrainingDiverged, init_model
+from .nn import ModelSpec, OptimizerState, TrainingDiverged, init_model
 from .simulation import Federation, RoundReport, run_experiment
-from .strategies import ClientUpdate, StrategyConfig
+from .strategies import ClientUpdate
 
 __version__ = "0.1.0"
 

@@ -9,9 +9,9 @@ cannot silently fall back to defaults.
 Each key is declared once, on a field of its section's dataclass: its name,
 its default (MISSING: required) and a metadata ``check`` that turns the JSON
 value into the field value or raises a ConfigError naming the key (none: the
-plain type check of the default).  A RunConfig runs these checks on each
-field's JSON form, then the checks that span keys, however it is built; so a
-Python value must be one JSON gives.  ``RunConfig.to_dict`` writes that form.
+plain type check of the default).  Every section, built from JSON or in
+Python, runs these checks on each field's JSON form, then a RunConfig runs the
+checks that span keys.  ``RunConfig.to_dict`` writes the JSON form.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import partial
 from pathlib import Path
 
 from . import nn
-from .strategies import STRATEGY_KINDS, StrategyConfig
+from .strategies import STRATEGY_KINDS
 
 
 class ConfigError(ValueError):
@@ -97,7 +97,7 @@ def _key(default, check, **options):
 
 
 def _as_object(value, name, *, cls):
-    """Build the dataclass ``cls`` from the JSON object of section ``name``."""
+    """Build ``cls`` from the JSON object of section ``name`` ('' for the root)."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name or 'config root'} must be an object, got {value!r}")
     prefix = f"{name}." if name else ""
@@ -106,21 +106,13 @@ def _as_object(value, name, *, cls):
         # a section chosen by kind carries the kind as a class attribute
         if key not in keys and not (key == "kind" and hasattr(cls, "kind")):
             raise ConfigError(f"unknown config key: {prefix}{key}")
-    values = {}
     for key, f in keys.items():
-        if key in value:
-            check = f.metadata.get("check") or _PLAIN_CHECKS[type(f.default)]
-            values[key] = check(value[key], prefix + key)
-        elif f.default is MISSING:
+        if key not in value and f.default is MISSING:
             raise ConfigError(f"missing required config key: {prefix}{key}")
     try:
-        return cls(**values)
-    except ConfigError:  # a RunConfig's own checks name their keys
-        raise
-    except ValueError as exc:
-        # StrategyConfig and nn.OptimizerSettings check their own ranges;
-        # the message names the field
-        raise ConfigError(f"{name}: {exc}") from exc
+        return cls(**{key: v for key, v in value.items() if key in keys})
+    except ConfigError as exc:  # the section's own errors name only their key
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def _as_section(value, name, *, kinds, default_kind=None):
@@ -128,17 +120,35 @@ def _as_section(value, name, *, kinds, default_kind=None):
     kind means ``default_kind``, or is an error when that is None."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be an object, got {value!r}")
-    if "kind" in value:
-        kind = _as_str(value["kind"], f"{name}.kind", choices=tuple(kinds))
-    elif default_kind is None:
+    if "kind" not in value and default_kind is None:
         raise ConfigError(f"missing required config key: {name}.kind")
-    else:
-        kind = default_kind
+    kind = _as_str(value.get("kind", default_kind), f"{name}.kind", choices=tuple(kinds))
     return _as_object(value, name, cls=kinds[kind])
 
 
+def _to_json(value):
+    # sections become objects with their kind first, tuples become lists
+    if is_dataclass(value):
+        out = {"kind": value.kind} if hasattr(value, "kind") else {}
+        out.update((f.name, _to_json(getattr(value, f.name))) for f in fields(value))
+        return out
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+class _Section:
+    """A config dataclass that checks itself however it is built: each field's
+    check runs on the field's JSON form, and the checked value is stored."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            check = f.metadata.get("check") or _PLAIN_CHECKS[type(f.default)]
+            object.__setattr__(self, f.name, check(_to_json(getattr(self, f.name)), f.name))
+
+
 @dataclass(frozen=True)
-class SyntheticData:
+class SyntheticData(_Section):
     classes: int = _key(10, _as_int, minimum=2)
     dims: int = _key(32, _as_int, minimum=2)
     per_class: int = _key(500, _as_int, minimum=1)
@@ -148,7 +158,7 @@ class SyntheticData:
 
 
 @dataclass(frozen=True)
-class IdxData:
+class IdxData(_Section):
     images: str = _key(MISSING, _as_str)
     labels: str = _key(MISSING, _as_str)
 
@@ -156,7 +166,7 @@ class IdxData:
 
 
 @dataclass(frozen=True)
-class DirichletPartition:
+class DirichletPartition(_Section):
     alpha: float = _key(0.5, _as_real, positive=True)
     min_samples: int = _key(64, _as_int, minimum=1)
     max_redraws: int = _key(100, _as_int, minimum=0)
@@ -165,14 +175,38 @@ class DirichletPartition:
 
 
 @dataclass(frozen=True)
-class LabelSplitPartition:
+class LabelSplitPartition(_Section):
     groups: tuple[tuple[int, ...], ...] = _key(MISSING, _as_groups)
 
     kind = "label_split"
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class StrategyConfig(_Section):
+    """Which aggregation rule to run and its knobs; unused knobs are ignored.
+
+    ``head_layer`` indexes the layer frozen by fedbabu, negative values count
+    from the back (default: the output layer).
+    """
+
+    kind: str = _key("fedavg", _as_str, choices=STRATEGY_KINDS)
+    mu: float = _key(0.01, _as_real, low=0.0)
+    beta: float = _key(0.9, _as_real, low=0.0, high=1.0, high_open=True)
+    server_lr: float = _key(1.0, _as_real, positive=True)
+    head_layer: int = -1
+
+
+@dataclass(frozen=True)
+class OptimizerSettings(_Section):
+    """Which local optimizer trains the clients (``kind``) and its learning
+    rate ``lr``."""
+
+    kind: str = _key("adam", _as_str, choices=nn.OPTIMIZERS)
+    lr: float = _key(1e-3, _as_real, positive=True)
+
+
+@dataclass(frozen=True)
+class RunConfig(_Section):
     dataset: SyntheticData | IdxData = _key(
         MISSING, _as_section, kinds={c.kind: c for c in (SyntheticData, IdxData)}
     )
@@ -186,9 +220,7 @@ class RunConfig:
         kinds={c.kind: c for c in (DirichletPartition, LabelSplitPartition)},
         default_kind=DirichletPartition.kind,
     )
-    optimizer: nn.OptimizerSettings = _key(
-        nn.OptimizerSettings(), _as_object, cls=nn.OptimizerSettings
-    )
+    optimizer: OptimizerSettings = _key(OptimizerSettings(), _as_object, cls=OptimizerSettings)
     clients: int = _key(10, _as_int, minimum=1)
     participation: float = _key(1.0, _as_real, low=0.0, low_open=True, high=1.0)
     rounds: int = _key(30, _as_int, minimum=0)
@@ -203,11 +235,8 @@ class RunConfig:
     out: str = "runs/out"
 
     def __post_init__(self):
-        # from_dict, the constructor and dataclasses.replace all check here:
-        # each field's JSON form, then the checks that span keys
-        for f in fields(self):
-            check = f.metadata.get("check") or _PLAIN_CHECKS[type(f.default)]
-            object.__setattr__(self, f.name, check(_to_json(getattr(self, f.name)), f.name))
+        # from_dict, the constructor and dataclasses.replace all check here
+        super().__post_init__()
         if self.partition.kind == "dirichlet" and self.clients < 2:
             raise ConfigError(f"dirichlet partitioning needs clients >= 2, got {self.clients}")
         if self.partition.kind == "label_split" and len(self.partition.groups) != self.clients:
@@ -227,17 +256,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         """The config as JSON data that ``from_dict`` reads back unchanged."""
         return _to_json(self)
-
-
-def _to_json(value):
-    # sections become objects with their kind first, tuples become lists
-    if is_dataclass(value):
-        out = {"kind": value.kind} if hasattr(value, "kind") else {}
-        out.update((f.name, _to_json(getattr(value, f.name))) for f in fields(value))
-        return out
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
-    return value
 
 
 def from_dict(data: dict) -> RunConfig:
@@ -275,14 +293,24 @@ def apply_overrides(data: dict, args) -> dict:
     return data
 
 
+def _unique_keys(pairs) -> dict:
+    # json.loads keeps the last of two equal keys; a config must not
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"duplicate config key: {key}")
+        out[key] = value
+    return out
+
+
 def load(path, args=None) -> RunConfig:
     """Read a JSON config file, apply flag overrides, validate."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if args is not None:
         data = apply_overrides(data, args)

@@ -14,8 +14,12 @@ linear output head) is exposed as the "latent" representation of a batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import OptimizerSettings
 
 ACTIVATIONS = ("relu", "tanh")
 OPTIMIZERS = ("sgd", "adam")
@@ -243,21 +247,6 @@ def loss_and_grad(spec, params, x, y, *, out=None):
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss}")
     return loss, grad
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Which local optimizer trains the clients (``kind``) and its learning
-    rate ``lr``."""
-
-    kind: str = "adam"
-    lr: float = 1e-3
-
-    def __post_init__(self):
-        if self.kind not in OPTIMIZERS:
-            raise ValueError(f"kind must be one of the optimizers {OPTIMIZERS}, got {self.kind!r}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be a positive learning rate, got {self.lr}")
 
 
 class OptimizerState:

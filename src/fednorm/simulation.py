@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contribution, data, nn, strategies
-from .config import RunConfig
+from .config import OptimizerSettings, RunConfig
 
 
 @dataclass
@@ -79,7 +79,7 @@ class Workspace:
     labels: np.ndarray
 
     @classmethod
-    def create(cls, spec: nn.ModelSpec, optimizer: nn.OptimizerSettings, rows: int) -> Workspace:
+    def create(cls, spec: nn.ModelSpec, optimizer: OptimizerSettings, rows: int) -> Workspace:
         """Buffers for training ``spec`` with the local ``optimizer`` on
         minibatches of at most ``rows`` rows."""
         size = spec.param_count()

@@ -11,39 +11,18 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import nn
 
+if TYPE_CHECKING:
+    from .config import OptimizerSettings, StrategyConfig
+
 # a rule's local-training hook: nn.optimizer_step calls adjust(span, params,
 # grad, scratch) on each block, which edits that block's gradient in place
 Adjust = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None]
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Which rule to run and its knobs; unused knobs are ignored.
-
-    ``head_layer`` indexes the layer frozen by fedbabu, negative values count
-    from the back (default: the output layer).
-    """
-
-    kind: str = "fedavg"
-    mu: float = 0.01
-    beta: float = 0.9
-    server_lr: float = 1.0
-    head_layer: int = -1
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"strategy must be one of {STRATEGY_KINDS}, got {self.kind!r}")
-        if not self.mu >= 0:
-            raise ValueError(f"mu must be non-negative, got {self.mu}")
-        if not 0 <= self.beta < 1:
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-        if not self.server_lr > 0:
-            raise ValueError(f"server_lr must be positive, got {self.server_lr}")
 
 
 @dataclass
@@ -98,7 +77,7 @@ class FedAvg:
     updates that memory, once the round's clients have all finished."""
 
     def __init__(self, cfg: StrategyConfig, spec: nn.ModelSpec, params: np.ndarray,
-                 num_clients: int, optimizer: nn.OptimizerSettings):
+                 num_clients: int, optimizer: OptimizerSettings):
         self.cfg = cfg
 
     def hooks(self, global_params: np.ndarray, client_id: int) -> Adjust | None:

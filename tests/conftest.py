@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fednorm import config as cfg
-from fednorm import data, nn, simulation, strategies
+from fednorm import data, nn, simulation
 
 
 def _build_federation(
@@ -34,8 +34,8 @@ def _build_federation(
     clients = [simulation.ClientState(i, shards[i], seeds[i]) for i in range(num_clients)]
     config = cfg.RunConfig(
         dataset=cfg.SyntheticData(classes=3, dims=6, per_class=40, spread=3.0),
-        strategy=strategies.StrategyConfig(kind=kind),
-        optimizer=optimizer or nn.OptimizerSettings(),
+        strategy=cfg.StrategyConfig(kind=kind),
+        optimizer=optimizer or cfg.OptimizerSettings(),
         clients=num_clients,
         participation=participation,
         epochs=epochs,

@@ -37,12 +37,12 @@ def random_similarity(rng, r):
 
 
 def experiment(kind, normalize, alpha, seed, rounds=30):
-    opt = nn.OptimizerSettings()
+    opt = cfg.OptimizerSettings()
     if kind == "scaffold":
-        opt = nn.OptimizerSettings(kind="sgd", lr=SCAFFOLD_LR)
+        opt = cfg.OptimizerSettings(kind="sgd", lr=SCAFFOLD_LR)
     run_cfg = cfg.RunConfig(
         dataset=cfg.SyntheticData(classes=10, dims=32, per_class=500, spread=3.0),
-        strategy=strategies.StrategyConfig(kind=kind),
+        strategy=cfg.StrategyConfig(kind=kind),
         partition=cfg.DirichletPartition(alpha=alpha),
         optimizer=opt,
         clients=10,
@@ -156,7 +156,7 @@ class TestOutlierPrioritization:
                     dataset=cfg.SyntheticData(
                         classes=10, dims=32, per_class=100, spread=3.0
                     ),
-                    strategy=strategies.StrategyConfig(),
+                    strategy=cfg.StrategyConfig(),
                     partition=cfg.LabelSplitPartition(
                         groups=(
                             (0, 1, 2, 3, 4, 5, 6, 7),
@@ -164,7 +164,7 @@ class TestOutlierPrioritization:
                             (8, 9),
                         )
                     ),
-                    optimizer=nn.OptimizerSettings(),
+                    optimizer=cfg.OptimizerSettings(),
                     clients=3,
                     rounds=20,
                     seed=0,
@@ -225,8 +225,8 @@ class TestStrategyReductions:
             u = rng.dirichlet(np.ones(4))
             g = rng.normal(size=9)
             def rule(**knobs):
-                cfg = strategies.StrategyConfig(**knobs)
-                return strategies.RULES[cfg.kind](cfg, None, g, 4, nn.OptimizerSettings())
+                strategy = cfg.StrategyConfig(**knobs)
+                return strategies.RULES[strategy.kind](strategy, None, g, 4, cfg.OptimizerSettings())
 
             fedavg = strategies.aggregate(g, updates, u, rule())
             nova = strategies.aggregate(g, updates, u, rule(kind="fednova"))
@@ -243,7 +243,7 @@ class TestStrategyReductions:
             spec = nn.ModelSpec((5, 8, 3))
             params = nn.init_model(spec, 51)
             client = simulation.ClientState(0, np.arange(len(ds)), seed=52)
-            optimizer = nn.OptimizerSettings()
+            optimizer = cfg.OptimizerSettings()
             kwargs = dict(
                 epochs=2, batch_size=16, round_index=0,
                 workspace=simulation.Workspace.create(spec, optimizer, 16),
@@ -251,7 +251,7 @@ class TestStrategyReductions:
             plain = simulation.local_train(
                 spec, ds, client, params, **kwargs
             )
-            prox_cfg = strategies.StrategyConfig(kind="fedprox", mu=0.0)
+            prox_cfg = cfg.StrategyConfig(kind="fedprox", mu=0.0)
             prox_rule = strategies.FedProx(prox_cfg, spec, params, 1, optimizer)
             prox = simulation.local_train(
                 spec, ds, client, params,
@@ -274,7 +274,7 @@ class TestStrategyReductions:
             params = nn.init_model(spec, 71)
             client = simulation.ClientState(0, np.arange(len(ds)), seed=72)
             size = spec.param_count()
-            optimizer = nn.OptimizerSettings(kind="sgd", lr=SCAFFOLD_LR)
+            optimizer = cfg.OptimizerSettings(kind="sgd", lr=SCAFFOLD_LR)
             kwargs = dict(
                 epochs=1, batch_size=len(ds), round_index=0,
                 workspace=simulation.Workspace.create(spec, optimizer, len(ds)),
@@ -282,7 +282,7 @@ class TestStrategyReductions:
             plain = simulation.local_train(
                 spec, ds, client, params, **kwargs
             )
-            scaffold_cfg = strategies.StrategyConfig(kind="scaffold")
+            scaffold_cfg = cfg.StrategyConfig(kind="scaffold")
             scaffold = strategies.Scaffold(scaffold_cfg, spec, params, 1, optimizer)
             scaffold.c = np.zeros(size)
             scaffold.client_c[client.client_id] = np.zeros(size)

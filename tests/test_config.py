@@ -2,11 +2,11 @@
 
 import argparse
 import json
+import re
 
 import pytest
 
 from fednorm import config as cfg
-from fednorm import nn
 
 
 def minimal() -> dict:
@@ -36,7 +36,7 @@ class TestDefaults:
         assert parsed.normalize is True
         assert parsed.test_fraction == 0.2
         assert parsed.partition == cfg.DirichletPartition(alpha=0.5)
-        assert parsed.optimizer == nn.OptimizerSettings(kind="adam", lr=1e-3)
+        assert parsed.optimizer == cfg.OptimizerSettings(kind="adam", lr=1e-3)
         assert parsed.dataset == cfg.SyntheticData()
 
     def test_round_trip_through_dict(self):
@@ -52,7 +52,7 @@ class TestDefaults:
             optimizer={"kind": "sgd", "lr": 0.05},
         )
         parsed = cfg.from_dict(raw)
-        assert parsed.optimizer == nn.OptimizerSettings(kind="sgd", lr=0.05)
+        assert parsed.optimizer == cfg.OptimizerSettings(kind="sgd", lr=0.05)
         assert cfg.from_dict(parsed.to_dict()) == parsed
 
 
@@ -94,10 +94,9 @@ class TestRejections:
         ("test_fraction", "NaN", "test_fraction must be a finite number"),
         ("temperature", "Infinity", "temperature must be a finite number"),
         ("optimizer.lr", "NaN", "optimizer.lr must be a finite number"),
-        # nn.OptimizerSettings checks its own ranges; the error names section and key
-        ("optimizer.lr", "0", "optimizer: lr must be a positive learning rate"),
-        ("optimizer.lr", "-1", "optimizer: lr must be a positive learning rate"),
-        ("optimizer.kind", '"rmsprop"', "optimizer: kind must be one of the optimizers"),
+        ("optimizer.lr", "0", "optimizer.lr must be positive"),
+        ("optimizer.lr", "-1", "optimizer.lr must be positive"),
+        ("optimizer.kind", '"rmsprop"', "optimizer.kind must be one of"),
     ]
 
     @pytest.mark.parametrize(
@@ -105,7 +104,7 @@ class TestRejections:
     )
     def test_non_finite_numbers_are_rejected(self, key, text, message):
         """Non-finite numbers fail the plain number check, out-of-range
-        optimizer values fail in nn.OptimizerSettings; both errors name the key."""
+        optimizer values their key's own check; both errors name the key."""
         data = minimal()
         data["strategy"]["kind"] = "fedprox"
         section, _, name = key.rpartition(".")
@@ -113,11 +112,42 @@ class TestRejections:
         with pytest.raises(cfg.ConfigError, match=rf"^{message}"):
             cfg.from_dict(data)
 
+    SECTION_VALUES = [
+        ("dataset", cfg.SyntheticData, dict(per_class=0), "per_class must be >= 1, got 0"),
+        ("partition", cfg.DirichletPartition, dict(alpha=0.0), "alpha must be positive, got 0.0"),
+        ("partition", cfg.LabelSplitPartition, dict(groups=((),)),
+         "groups[0] must be a non-empty list of classes"),
+        ("strategy", cfg.StrategyConfig, dict(mu=-1.0), "mu must be >= 0.0, got -1.0"),
+        ("strategy", cfg.StrategyConfig, dict(kind="fedbabu", head_layer=True),
+         "head_layer must be an integer, got True"),
+        ("strategy", cfg.StrategyConfig, dict(mu=True), "mu must be a number, got True"),
+        ("optimizer", cfg.OptimizerSettings, dict(lr=True), "lr must be a number, got True"),
+        ("optimizer", cfg.OptimizerSettings, dict(kind="rmsprop"),
+         "kind must be one of ('sgd', 'adam'), got 'rmsprop'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "section, cls, values, message",
+        SECTION_VALUES,
+        ids=[f"{cls.__name__}-{values}" for _, cls, values, _ in SECTION_VALUES],
+    )
+    def test_sections_check_themselves(self, section, cls, values, message):
+        """A section built in Python raises what ``from_dict`` raises for its
+        JSON, less the section's name; a bool is not a number here either."""
+        with pytest.raises(cfg.ConfigError) as built:
+            cls(**values)
+        data = minimal()
+        data[section] = json.loads(json.dumps({"kind": cls.kind, **values}))
+        with pytest.raises(cfg.ConfigError) as read:
+            cfg.from_dict(data)
+        assert str(built.value) == message
+        assert str(read.value) == f"{section}.{message}"
+
     def test_strategy_ranges_name_the_section_and_field(self):
         for key, bad in (("mu", -1.0), ("beta", 1.0), ("server_lr", 0.0)):
             data = minimal()
             data["strategy"][key] = bad
-            with pytest.raises(cfg.ConfigError, match=rf"^strategy: .*{key} must"):
+            with pytest.raises(cfg.ConfigError, match=rf"^strategy\.{key} must"):
                 cfg.from_dict(data)
 
     def test_booleans_are_not_integers(self):
@@ -230,6 +260,24 @@ class TestLoad:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(cfg.ConfigError, match="not valid JSON"):
+            cfg.load(path)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(cfg.ConfigError, match=rf"^{re.escape(str(path))} is not valid JSON: "):
+            cfg.load(path)
+
+    def test_duplicate_keys_are_rejected(self, tmp_path):
+        """json.loads alone would keep the last value and run 0 rounds."""
+        path = tmp_path / "twice.json"
+        path.write_text('{"dataset": {"kind": "synthetic"}, "strategy": {"kind": "fedavg"}, '
+                        '"rounds": 30, "rounds": 0}')
+        with pytest.raises(cfg.ConfigError, match="^duplicate config key: rounds$"):
+            cfg.load(path)
+        path.write_text('{"dataset": {"kind": "synthetic"}, '
+                        '"strategy": {"kind": "fedprox", "mu": 0.1, "mu": 0.0}}')
+        with pytest.raises(cfg.ConfigError, match="^duplicate config key: mu$"):
             cfg.load(path)
 
     def test_load_with_overrides(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fednorm import nn
+from fednorm import config, nn
 
 
 def small_spec():
@@ -233,7 +233,7 @@ class TestOptimizers:
         params = np.array([1.0, -1.0])
         grad = np.array([2.0, 4.0])
         expected = params - 0.1 * grad  # computed first: the step updates params in place
-        state = nn.OptimizerState(nn.OptimizerSettings(kind="sgd", lr=0.1), len(params))
+        state = nn.OptimizerState(config.OptimizerSettings(kind="sgd", lr=0.1), len(params))
         nn.optimizer_step(params, grad, state)
         assert_array_equal(params, expected)
         assert state.step == 1
@@ -241,7 +241,7 @@ class TestOptimizers:
     def test_sgd_zero_grad_is_fixed_point(self):
         params = np.array([0.3, -0.7, 2.0])
         expected = params.copy()  # the step updates params in place
-        state = nn.OptimizerState(nn.OptimizerSettings(kind="sgd", lr=0.5), 3)
+        state = nn.OptimizerState(config.OptimizerSettings(kind="sgd", lr=0.5), 3)
         nn.optimizer_step(params, np.zeros(3), state)
         assert_array_equal(params, expected)
 
@@ -250,7 +250,7 @@ class TestOptimizers:
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         p = 0.5
         m = v = 0.0
-        state = nn.OptimizerState(nn.OptimizerSettings(kind="adam", lr=lr), 1)
+        state = nn.OptimizerState(config.OptimizerSettings(kind="adam", lr=lr), 1)
         params = np.array([0.5])
         for t, g in enumerate([2.0, -1.0, 0.5], start=1):
             m = b1 * m + (1 - b1) * g
@@ -263,7 +263,7 @@ class TestOptimizers:
     def test_adam_first_step_magnitude_near_lr(self):
         params = np.zeros(4)
         grad = np.array([3.0, -2.0, 0.5, 10.0])
-        state = nn.OptimizerState(nn.OptimizerSettings(kind="adam", lr=1e-3), 4)
+        state = nn.OptimizerState(config.OptimizerSettings(kind="adam", lr=1e-3), 4)
         nn.optimizer_step(params, grad, state)
         # first bias-corrected step is -lr * g/(|g| + eps), essentially -lr*sign(g)
         assert_allclose(params, -1e-3 * np.sign(grad), rtol=1e-7)
@@ -272,7 +272,7 @@ class TestOptimizers:
     def test_step_updates_params_and_state_in_place(self, kind):
         params = np.ones(3)
         grad = np.full(3, 2.0)
-        state = nn.OptimizerState(nn.OptimizerSettings(kind=kind, lr=0.01), 3)
+        state = nn.OptimizerState(config.OptimizerSettings(kind=kind, lr=0.01), 3)
         assert nn.optimizer_step(params, grad, state) is None
         assert np.all(params < 1.0)
         assert_array_equal(grad, 2.0)
@@ -287,7 +287,7 @@ class TestOptimizers:
             assert state.m is None and state.v is None
 
     def test_reset_clears_moments_in_the_same_buffers(self):
-        state = nn.OptimizerState(nn.OptimizerSettings(kind="adam", lr=0.01), 2)
+        state = nn.OptimizerState(config.OptimizerSettings(kind="adam", lr=0.01), 2)
         buffers = [state.m, state.v, *state.scratch]
         for _ in range(3):
             nn.optimizer_step(np.ones(2), np.ones(2), state)
@@ -300,12 +300,12 @@ class TestOptimizers:
             assert before is after
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="optimizer"):
-            nn.OptimizerSettings(kind="rmsprop")
+        with pytest.raises(config.ConfigError, match=r"^kind must be one of \('sgd', 'adam'\)"):
+            config.OptimizerSettings(kind="rmsprop")
 
     def test_rejects_nonpositive_lr(self):
-        with pytest.raises(ValueError, match="learning rate"):
-            nn.OptimizerSettings(kind="sgd", lr=0.0)
+        with pytest.raises(config.ConfigError, match=r"^lr must be positive, got 0\.0"):
+            config.OptimizerSettings(kind="sgd", lr=0.0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_raises(self):
@@ -313,7 +313,7 @@ class TestOptimizers:
             nn.optimizer_step(
                 np.array([1e308]),
                 np.array([-1e308]),
-                nn.OptimizerState(nn.OptimizerSettings(kind="sgd", lr=10.0), 1),
+                nn.OptimizerState(config.OptimizerSettings(kind="sgd", lr=10.0), 1),
             )
 
 
@@ -346,7 +346,7 @@ class TestBlockedStep:
         params = rng.normal(size=size)
         grads = [rng.normal(size=size) for _ in range(4)]
         expected, m, v = textbook_steps(kind, params, grads, lr=1e-2)
-        state = nn.OptimizerState(nn.OptimizerSettings(kind=kind, lr=1e-2), size)
+        state = nn.OptimizerState(config.OptimizerSettings(kind=kind, lr=1e-2), size)
         for g in grads:
             nn.optimizer_step(params, g, state)
         assert_array_equal(params, expected)
@@ -368,7 +368,7 @@ class TestBlockedStep:
         params = rng.normal(size=size)
         grads = [rng.normal(scale=rng.uniform(0.01, 10.0), size=size) for _ in range(steps)]
         expected, _, _ = textbook_steps(kind, params, grads, lr)
-        state = nn.OptimizerState(nn.OptimizerSettings(kind=kind, lr=lr), size)
+        state = nn.OptimizerState(config.OptimizerSettings(kind=kind, lr=lr), size)
         for g in grads:
             nn.optimizer_step(params, g, state)
         assert_array_equal(params, expected)
@@ -380,7 +380,7 @@ class TestBlockedStep:
         params[-1] = np.inf
         with pytest.raises(nn.TrainingDiverged, match="after step 1"):
             nn.optimizer_step(
-                params, np.ones(size), nn.OptimizerState(nn.OptimizerSettings(kind=kind), size)
+                params, np.ones(size), nn.OptimizerState(config.OptimizerSettings(kind=kind), size)
             )
 
 
@@ -427,7 +427,7 @@ class TestTrainingDeterminism:
 
         def train():
             params = nn.init_model(spec, 13)
-            state = nn.OptimizerState(nn.OptimizerSettings(kind="adam", lr=1e-3), len(params))
+            state = nn.OptimizerState(config.OptimizerSettings(kind="adam", lr=1e-3), len(params))
             for _ in range(20):
                 _, grad = nn.loss_and_grad(spec, params, x, y)
                 nn.optimizer_step(params, grad, state)

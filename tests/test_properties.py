@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fednorm import contribution as co
-from fednorm import data, nn, strategies
+from fednorm import config, data, nn, strategies
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -161,8 +161,8 @@ def update_sets(draw):
 
 def fold(kind, spec, global_params, updates, u, **knobs):
     """One fresh rule's fold through ``strategies.aggregate``."""
-    cfg = strategies.StrategyConfig(kind=kind, **knobs)
-    optimizer = nn.OptimizerSettings(kind="sgd", lr=0.1)
+    cfg = config.StrategyConfig(kind=kind, **knobs)
+    optimizer = config.OptimizerSettings(kind="sgd", lr=0.1)
     rule = strategies.RULES[kind](cfg, spec, global_params, len(updates), optimizer)
     return strategies.aggregate(global_params, updates, u, rule)
 
@@ -248,8 +248,8 @@ class TestScaffoldFold:
         """The fold walks the clients one by one; the reference holds every
         client's variate delta in one (K, P) matrix."""
         global_params, updates, u, lr, server_lr, c, client_c = case
-        cfg = strategies.StrategyConfig(kind="scaffold", server_lr=server_lr)
-        optimizer = nn.OptimizerSettings(kind="sgd", lr=lr)
+        cfg = config.StrategyConfig(kind="scaffold", server_lr=server_lr)
+        optimizer = config.OptimizerSettings(kind="sgd", lr=lr)
         rule = strategies.Scaffold(cfg, None, global_params, len(client_c), optimizer)
         rule.c = c.copy()
         rule.client_c = {r: row.copy() for r, row in enumerate(client_c)}

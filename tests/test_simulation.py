@@ -77,7 +77,7 @@ class TestLocalTrain:
         ds = data.generate_synthetic(2, 3, 10, 3.0, seed=0)
         client = simulation.ClientState(0, np.arange(len(ds)), seed=1)
         spec = nn.ModelSpec((3, 4, 2))
-        workspace = simulation.Workspace.create(spec, nn.OptimizerSettings(), 8)
+        workspace = simulation.Workspace.create(spec, cfg.OptimizerSettings(), 8)
         with pytest.raises(ValueError, match="epochs"):
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
@@ -106,7 +106,7 @@ class TestLocalTrain:
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
                 epochs=1, batch_size=8, round_index=0,
-                workspace=simulation.Workspace.create(spec, nn.OptimizerSettings(), 8),
+                workspace=simulation.Workspace.create(spec, cfg.OptimizerSettings(), 8),
             )
 
     def test_step_count_covers_partial_batches(self):
@@ -116,7 +116,7 @@ class TestLocalTrain:
         update = simulation.local_train(
             spec, ds, client, nn.init_model(spec, 2),
             epochs=2, batch_size=64, round_index=0,
-            workspace=simulation.Workspace.create(spec, nn.OptimizerSettings(), 64),
+            workspace=simulation.Workspace.create(spec, cfg.OptimizerSettings(), 64),
         )
         assert update.tau == 4  # ceil(100/64) batches per epoch, twice
         assert update.n == 100
@@ -146,7 +146,7 @@ class TestLocalTrain:
             update = simulation.local_train(
                 spec, ds, client, params,
                 epochs=1, batch_size=8, round_index=round_index,
-                workspace=simulation.Workspace.create(spec, nn.OptimizerSettings(), 8),
+                workspace=simulation.Workspace.create(spec, cfg.OptimizerSettings(), 8),
             )
             runs.setdefault(round_index, []).append(update.weights)
         assert_array_equal(runs[0][0], runs[0][1])
@@ -169,7 +169,7 @@ class TestLocalTrain:
                 spec, ds, client, nn.init_model(spec, 2),
                 epochs=4, batch_size=40, round_index=0, adjust=adjust,
                 workspace=simulation.Workspace.create(
-                    spec, nn.OptimizerSettings(kind="sgd", lr=1.0), 40
+                    spec, cfg.OptimizerSettings(kind="sgd", lr=1.0), 40
                 ),
             )
 
@@ -187,10 +187,10 @@ class TestLocalTrain:
             simulation.ClientState(r, np.arange(30 * r, 30 * r + 30), seed=r) for r in range(5)
         ]
         for kind, optimizer in (("fedprox", "adam"), ("scaffold", "sgd"), ("fedbabu", "adam")):
-            optimizer = nn.OptimizerSettings(kind=optimizer, lr=1e-2)
+            optimizer = cfg.OptimizerSettings(kind=optimizer, lr=1e-2)
             workspace = simulation.Workspace.create(spec, optimizer, 16)
             rule = strategies.RULES[kind](
-                strategies.StrategyConfig(kind=kind), spec, params, 5, optimizer
+                cfg.StrategyConfig(kind=kind), spec, params, 5, optimizer
             )
             outs = [np.empty_like(params) for _ in clients]
             tracemalloc.start()
@@ -302,16 +302,16 @@ class TestLocalTrainReference:
     @pytest.mark.parametrize(
         "strategy, kind, lr, activation, wide",
         [
-            (strategies.StrategyConfig(), "adam", 1e-2, "relu", False),
-            (strategies.StrategyConfig(), "sgd", 0.1, "relu", False),
-            (strategies.StrategyConfig(), "adam", 1e-2, "tanh", False),
-            (strategies.StrategyConfig(kind="fedprox", mu=0.3), "adam", 1e-2, "relu", False),
-            (strategies.StrategyConfig(kind="fedprox", mu=0.3), "sgd", 0.1, "tanh", False),
-            (strategies.StrategyConfig(kind="scaffold"), "sgd", 0.1, "relu", False),
-            (strategies.StrategyConfig(kind="fedbabu"), "adam", 1e-2, "relu", False),
-            (strategies.StrategyConfig(kind="fedbabu", head_layer=0), "sgd", 0.1, "relu", False),
-            (strategies.StrategyConfig(kind="fedprox", mu=0.3), "adam", 1e-2, "relu", True),
-            (strategies.StrategyConfig(kind="scaffold"), "sgd", 0.1, "relu", True),
+            (cfg.StrategyConfig(), "adam", 1e-2, "relu", False),
+            (cfg.StrategyConfig(), "sgd", 0.1, "relu", False),
+            (cfg.StrategyConfig(), "adam", 1e-2, "tanh", False),
+            (cfg.StrategyConfig(kind="fedprox", mu=0.3), "adam", 1e-2, "relu", False),
+            (cfg.StrategyConfig(kind="fedprox", mu=0.3), "sgd", 0.1, "tanh", False),
+            (cfg.StrategyConfig(kind="scaffold"), "sgd", 0.1, "relu", False),
+            (cfg.StrategyConfig(kind="fedbabu"), "adam", 1e-2, "relu", False),
+            (cfg.StrategyConfig(kind="fedbabu", head_layer=0), "sgd", 0.1, "relu", False),
+            (cfg.StrategyConfig(kind="fedprox", mu=0.3), "adam", 1e-2, "relu", True),
+            (cfg.StrategyConfig(kind="scaffold"), "sgd", 0.1, "relu", True),
         ],
         ids=["adam", "sgd", "adam-tanh", "fedprox-adam", "fedprox-sgd-tanh",
              "scaffold", "fedbabu-head", "fedbabu-first-layer",
@@ -324,7 +324,7 @@ class TestLocalTrainReference:
         rng = np.random.default_rng(33)
         config = cfg.RunConfig(
             dataset=cfg.SyntheticData(), strategy=strategy,
-            optimizer=nn.OptimizerSettings(kind=kind, lr=lr), epochs=2, batch_size=16,
+            optimizer=cfg.OptimizerSettings(kind=kind, lr=lr), epochs=2, batch_size=16,
             hidden_sizes=spec.layer_sizes[1:-1], activation=spec.activation,
         )
         server = simulation.ServerState(params, round_index=4)
@@ -369,7 +369,7 @@ class TestLocalTrainReference:
         other = simulation.ClientState(4, np.arange(0, 60), seed=34)
         kwargs = dict(epochs=2, batch_size=16, round_index=1)
         workspace = simulation.Workspace.create(
-            spec, nn.OptimizerSettings(kind="adam", lr=1e-2), 16
+            spec, cfg.OptimizerSettings(kind="adam", lr=1e-2), 16
         )
         in_turn = [
             simulation.local_train(spec, ds, c, params, workspace=workspace, **kwargs)
@@ -379,7 +379,7 @@ class TestLocalTrainReference:
             alone = simulation.local_train(
                 spec, ds, c, params,
                 workspace=simulation.Workspace.create(
-                    spec, nn.OptimizerSettings(kind="adam", lr=1e-2), 16
+                    spec, cfg.OptimizerSettings(kind="adam", lr=1e-2), 16
                 ),
                 **kwargs,
             )
@@ -536,7 +536,7 @@ class TestRunRound:
 
     def test_scaffold_round_updates_server_variate(self, build_federation):
         fed = build_federation(
-            kind="scaffold", optimizer=nn.OptimizerSettings(kind="sgd", lr=0.05)
+            kind="scaffold", optimizer=cfg.OptimizerSettings(kind="sgd", lr=0.05)
         )
         assert_array_equal(fed.rule.c, 0.0)
         fed.run_round()
@@ -568,7 +568,7 @@ class TestDeterminism:
         self, build_federation, monkeypatch, short_switch_interval, kind, shape, threads
     ):
         # scaffold's variate update divides by the local rate of plain sgd
-        optimizer = nn.OptimizerSettings(kind="sgd", lr=0.05) if kind == "scaffold" else None
+        optimizer = cfg.OptimizerSettings(kind="sgd", lr=0.05) if kind == "scaffold" else None
         common = {
             **dict(kind=kind, normalize=True, num_clients=6, seed=9, optimizer=optimizer),
             **shape,
@@ -592,7 +592,7 @@ class TestDeterminism:
         Whichever thread fails first, the round raises client 2's error, the
         one a serial round raises."""
         common = dict(
-            kind="scaffold", optimizer=nn.OptimizerSettings(kind="sgd", lr=0.05),
+            kind="scaffold", optimizer=cfg.OptimizerSettings(kind="sgd", lr=0.05),
             num_clients=6, seed=9, batch_size=4,
         )
         errors = []
@@ -626,9 +626,9 @@ class TestRunExperiment:
     def base_config(self, **overrides):
         fields = dict(
             dataset=cfg.SyntheticData(classes=4, dims=6, per_class=40, spread=3.0),
-            strategy=strategies.StrategyConfig(),
+            strategy=cfg.StrategyConfig(),
             partition=cfg.DirichletPartition(alpha=0.5, min_samples=8),
-            optimizer=nn.OptimizerSettings(),
+            optimizer=cfg.OptimizerSettings(),
             clients=4,
             rounds=2,
             epochs=1,
@@ -668,8 +668,9 @@ class TestRunExperiment:
         ("participation", True, True),
         ("seed", -1, -1),
         ("rounds", 2.0, 2.0),
-        ("dataset", cfg.SyntheticData(per_class=0), {"kind": "synthetic", "per_class": 0}),
-        ("partition", cfg.DirichletPartition(alpha=0.0), {"alpha": 0.0}),
+        # a section checks its own values when built; here it is of the wrong kind
+        ("dataset", cfg.DirichletPartition(), {"kind": "dirichlet"}),
+        ("partition", cfg.SyntheticData(), {"kind": "synthetic"}),
     ]
 
     @pytest.mark.parametrize("build", ["constructor", "replace"])

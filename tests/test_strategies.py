@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fednorm import data, nn, simulation, strategies
+from fednorm import config, data, nn, simulation, strategies
 
 
 def make_update(client_id, weights, n=10, tau=4):
@@ -34,20 +34,20 @@ def training_setup(seed=0):
 
 class TestStrategyConfig:
     def test_defaults(self):
-        cfg = strategies.StrategyConfig()
+        cfg = config.StrategyConfig()
         assert cfg.kind == "fedavg" and cfg.mu == 0.01 and cfg.beta == 0.9
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="strategy"):
-            strategies.StrategyConfig(kind="fedsgd")
+        with pytest.raises(config.ConfigError, match=r"^kind must be one of \('fedavg'"):
+            config.StrategyConfig(kind="fedsgd")
 
     def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError, match="mu"):
-            strategies.StrategyConfig(mu=-0.1)
-        with pytest.raises(ValueError, match="beta"):
-            strategies.StrategyConfig(beta=1.0)
-        with pytest.raises(ValueError, match="server_lr"):
-            strategies.StrategyConfig(server_lr=0.0)
+        with pytest.raises(config.ConfigError, match=r"^mu must be >= 0\.0, got -0\.1"):
+            config.StrategyConfig(mu=-0.1)
+        with pytest.raises(config.ConfigError, match=r"^beta must be < 1\.0, got 1\.0"):
+            config.StrategyConfig(beta=1.0)
+        with pytest.raises(config.ConfigError, match=r"^server_lr must be positive, got 0\.0"):
+            config.StrategyConfig(server_lr=0.0)
 
 
 class TestImportance:
@@ -72,7 +72,7 @@ class TestImportance:
 
 def fresh_rule(cfg, spec, params, num_clients=4, optimizer=None):
     """The rule for ``cfg``; local sgd unless ``optimizer`` says otherwise."""
-    optimizer = optimizer or nn.OptimizerSettings(kind="sgd", lr=0.1)
+    optimizer = optimizer or config.OptimizerSettings(kind="sgd", lr=0.1)
     return strategies.RULES[cfg.kind](cfg, spec, params, num_clients, optimizer)
 
 
@@ -89,8 +89,8 @@ class TestRuleTable:
         """A rule built without a RunConfig still checks its local optimizer."""
         with pytest.raises(ValueError, match="scaffold requires the sgd local optimizer, got 'adam'"):
             fresh_rule(
-                strategies.StrategyConfig(kind="scaffold"), None, np.zeros(4),
-                optimizer=nn.OptimizerSettings(),
+                config.StrategyConfig(kind="scaffold"), None, np.zeros(4),
+                optimizer=config.OptimizerSettings(),
             )
 
 
@@ -119,16 +119,16 @@ class TestLocalHooks:
     def test_fedavg_hooks_are_identity(self):
         (params,) = self.vectors(0, 1)
         for cfg in (
-            strategies.StrategyConfig(),
-            strategies.StrategyConfig(kind="sgdm"),
-            strategies.StrategyConfig(kind="fednova"),
-            strategies.StrategyConfig(kind="fedprox", mu=0.0),
+            config.StrategyConfig(),
+            config.StrategyConfig(kind="sgdm"),
+            config.StrategyConfig(kind="fednova"),
+            config.StrategyConfig(kind="fedprox", mu=0.0),
         ):
             assert fresh_rule(cfg, self.spec, params, 1).hooks(params, 0) is None, cfg.kind
 
     def test_fedprox_anchor_is_broadcast(self):
         anchor, params, other, grad = self.vectors(1, 4)
-        cfg = strategies.StrategyConfig(kind="fedprox", mu=0.2)
+        cfg = config.StrategyConfig(kind="fedprox", mu=0.2)
         adjust = fresh_rule(cfg, self.spec, anchor, 1).hooks(anchor, 0)
         # one hook serves call after call, each seeing only its own params
         for p in (params, other, params):
@@ -144,8 +144,8 @@ class TestLocalHooks:
         size = 2 * nn.BLOCK + 123
         rng = np.random.default_rng(5)
         anchor, c, c_r = (rng.normal(size=size) for _ in range(3))
-        prox = fresh_rule(strategies.StrategyConfig(kind="fedprox", mu=0.3), None, anchor, 1)
-        scaffold = fresh_rule(strategies.StrategyConfig(kind="scaffold"), None, anchor, 2)
+        prox = fresh_rule(config.StrategyConfig(kind="fedprox", mu=0.3), None, anchor, 1)
+        scaffold = fresh_rule(config.StrategyConfig(kind="scaffold"), None, anchor, 2)
         scaffold.c, scaffold.client_c[1] = c, c_r
         # layers span [0, 60200), [60200, 100400) and [100400, 102410)
         babu_spec = nn.ModelSpec((300, 200, 200, 10))
@@ -163,7 +163,7 @@ class TestLocalHooks:
             ("scaffold", size, scaffold.hooks(anchor, 1), lambda p, g: g + (c - c_r)),
         ]
         for head_layer in (0, 1, -1):
-            cfg = strategies.StrategyConfig(kind="fedbabu", head_layer=head_layer)
+            cfg = config.StrategyConfig(kind="fedbabu", head_layer=head_layer)
             babu_params = np.zeros(babu_spec.param_count())
             babu = fresh_rule(cfg, babu_spec, babu_params, 1)
             cases.append((
@@ -171,7 +171,7 @@ class TestLocalHooks:
                 babu.hooks(babu_params, 0), frozen(babu_spec.layer_span(head_layer)),
             ))
         for kind, (name, n, adjust, correct) in itertools.product(("sgd", "adam"), cases):
-            settings = nn.OptimizerSettings(kind=kind, lr=1e-2)
+            settings = config.OptimizerSettings(kind=kind, lr=1e-2)
             params = rng.normal(size=n)
             expected = params.copy()
             state, plain = nn.OptimizerState(settings, n), nn.OptimizerState(settings, n)
@@ -201,7 +201,7 @@ class TestLocalHooks:
             diff = p - anchor
             return nn.loss_and_grad(spec, p, x, y)[0] + 0.5 * mu * float(diff @ diff)
 
-        cfg = strategies.StrategyConfig(kind="fedprox", mu=mu)
+        cfg = config.StrategyConfig(kind="fedprox", mu=mu)
         _, grad = nn.loss_and_grad(spec, params, x, y)
         grad = adjusted(fresh_rule(cfg, spec, anchor, 1).hooks(anchor, 0), params, grad)
         numeric = np.empty_like(params)
@@ -211,7 +211,7 @@ class TestLocalHooks:
 
     def test_scaffold_correction(self):
         c, c_i, params, grad = self.vectors(2, 4)
-        cfg = strategies.StrategyConfig(kind="scaffold")
+        cfg = config.StrategyConfig(kind="scaffold")
         rule = fresh_rule(cfg, self.spec, params, 2)
         rule.c, rule.client_c[1] = c, c_i
         adjust = rule.hooks(params, 1)
@@ -223,7 +223,7 @@ class TestLocalHooks:
     def test_fedbabu_freezes_output_layer(self):
         params, grad = self.vectors(3, 2)
         for head_layer in (-1, 0):
-            cfg = strategies.StrategyConfig(kind="fedbabu", head_layer=head_layer)
+            cfg = config.StrategyConfig(kind="fedbabu", head_layer=head_layer)
             adjust = fresh_rule(cfg, self.spec, params, 1).hooks(params, 0)
             head = self.spec.layer_span(head_layer)
             expected = grad.copy()
@@ -236,12 +236,12 @@ class TestTrainingReductions:
     def test_fedprox_zero_mu_matches_fedavg_bitwise(self):
         ds, spec, params, client = training_setup()
         # one workspace serves both runs: each starts from cleared buffers
-        workspace = simulation.Workspace.create(spec, nn.OptimizerSettings(), 8)
+        workspace = simulation.Workspace.create(spec, config.OptimizerSettings(), 8)
         kwargs = dict(epochs=2, batch_size=8, workspace=workspace, round_index=0)
         plain = simulation.local_train(
             spec, ds, client, params, **kwargs
         )
-        cfg = strategies.StrategyConfig(kind="fedprox", mu=0.0)
+        cfg = config.StrategyConfig(kind="fedprox", mu=0.0)
         rule = fresh_rule(cfg, spec, params, client.client_id + 1)
         prox = simulation.local_train(
             spec, ds, client, params, adjust=rule.hooks(params, client.client_id), **kwargs
@@ -251,7 +251,7 @@ class TestTrainingReductions:
     def test_scaffold_zero_variates_match_plain_sgd(self):
         ds, spec, params, client = training_setup()
         size = spec.param_count()
-        optimizer = nn.OptimizerSettings(kind="sgd", lr=0.1)
+        optimizer = config.OptimizerSettings(kind="sgd", lr=0.1)
         kwargs = dict(
             epochs=1, batch_size=len(ds),
             workspace=simulation.Workspace.create(spec, optimizer, len(ds)), round_index=0,
@@ -259,7 +259,7 @@ class TestTrainingReductions:
         plain = simulation.local_train(
             spec, ds, client, params, **kwargs
         )
-        cfg = strategies.StrategyConfig(kind="scaffold")
+        cfg = config.StrategyConfig(kind="scaffold")
         rule = fresh_rule(cfg, spec, params, client.client_id + 1, optimizer)
         rule.c, rule.client_c[client.client_id] = np.zeros(size), np.zeros(size)
         corrected = simulation.local_train(
@@ -276,12 +276,12 @@ class TestTrainingReductions:
     def test_fedbabu_head_stays_at_broadcast(self):
         ds, spec, params, client = training_setup()
         head = spec.layer_span(spec.num_layers - 1)
-        cfg = strategies.StrategyConfig(kind="fedbabu")
+        cfg = config.StrategyConfig(kind="fedbabu")
         rule = fresh_rule(cfg, spec, params, client.client_id + 1)
         update = simulation.local_train(
             spec, ds, client, params,
             epochs=3, batch_size=8,
-            workspace=simulation.Workspace.create(spec, nn.OptimizerSettings(), 8),
+            workspace=simulation.Workspace.create(spec, config.OptimizerSettings(), 8),
             adjust=rule.hooks(params, client.client_id),
             round_index=0,
         )
@@ -292,7 +292,7 @@ class TestTrainingReductions:
 
 class TestAggregate:
     def test_fedavg_two_client_mean(self):
-        cfg = strategies.StrategyConfig()
+        cfg = config.StrategyConfig()
         updates = [make_update(0, [1.0, 3.0]), make_update(1, [3.0, 1.0])]
         new = strategies.aggregate(
             np.zeros(2), updates, np.array([0.5, 0.5]), fresh_rule(cfg, None, np.zeros(2))
@@ -301,7 +301,7 @@ class TestAggregate:
 
     def test_averaging_stays_in_convex_hull(self):
         rng = np.random.default_rng(10)
-        cfg = strategies.StrategyConfig()
+        cfg = config.StrategyConfig()
         for _ in range(20):
             updates = random_updates(rng, 5, 12)
             u = rng.dirichlet(np.ones(5))
@@ -318,8 +318,8 @@ class TestAggregate:
             updates = random_updates(rng, 4, 9)
             u = rng.dirichlet(np.ones(4))
             global_params = rng.normal(size=9)
-            avg_cfg = strategies.StrategyConfig()
-            mom_cfg = strategies.StrategyConfig(kind="sgdm", beta=0.0, server_lr=1.0)
+            avg_cfg = config.StrategyConfig()
+            mom_cfg = config.StrategyConfig(kind="sgdm", beta=0.0, server_lr=1.0)
             fedavg = strategies.aggregate(
                 global_params, updates, u, fresh_rule(avg_cfg, None, global_params)
             )
@@ -331,7 +331,7 @@ class TestAggregate:
     def test_sgdm_matches_hand_recurrence_across_rounds(self):
         rng = np.random.default_rng(12)
         beta, lr = 0.7, 0.5
-        cfg = strategies.StrategyConfig(kind="sgdm", beta=beta, server_lr=lr)
+        cfg = config.StrategyConfig(kind="sgdm", beta=beta, server_lr=lr)
         global_params = rng.normal(size=6)
         rule = fresh_rule(cfg, None, global_params)
         momentum = np.zeros(6)
@@ -350,8 +350,8 @@ class TestAggregate:
             updates = random_updates(rng, 4, 9, tau=6)
             u = rng.dirichlet(np.ones(4))
             global_params = rng.normal(size=9)
-            avg_cfg = strategies.StrategyConfig()
-            nova_cfg = strategies.StrategyConfig(kind="fednova")
+            avg_cfg = config.StrategyConfig()
+            nova_cfg = config.StrategyConfig(kind="fednova")
             fedavg = strategies.aggregate(
                 global_params, updates, u, fresh_rule(avg_cfg, None, global_params)
             )
@@ -361,7 +361,7 @@ class TestAggregate:
             assert_allclose(nova, fedavg, rtol=0, atol=1e-12)
 
     def test_fednova_hand_computed_step(self):
-        cfg = strategies.StrategyConfig(kind="fednova")
+        cfg = config.StrategyConfig(kind="fednova")
         global_params = np.array([1.0, 2.0])
         updates = [
             make_update(0, [0.0, 0.0], tau=2),
@@ -375,10 +375,10 @@ class TestAggregate:
         assert_allclose(new, global_params - 5.0 * np.array([0.1875, 0.625]), rtol=1e-15)
 
     def test_scaffold_update_and_variate_recurrence(self):
-        cfg = strategies.StrategyConfig(kind="scaffold", server_lr=0.8)
+        cfg = config.StrategyConfig(kind="scaffold", server_lr=0.8)
         lr = 0.05
         global_params = np.array([1.0, -1.0, 0.5])
-        rule = fresh_rule(cfg, None, global_params, 4, nn.OptimizerSettings(kind="sgd", lr=lr))
+        rule = fresh_rule(cfg, None, global_params, 4, config.OptimizerSettings(kind="sgd", lr=lr))
         c = np.array([0.2, -0.1, 0.05])
         client_c = {0: np.array([0.1, 0.0, -0.1]), 2: np.array([-0.3, 0.2, 0.1])}
         # the fold updates the rule's variates in place, so hand it copies
@@ -403,7 +403,7 @@ class TestAggregate:
 
     def test_fedbabu_restores_frozen_head(self):
         spec = nn.ModelSpec((3, 4, 2))
-        cfg = strategies.StrategyConfig(kind="fedbabu")
+        cfg = config.StrategyConfig(kind="fedbabu")
         initial = nn.init_model(spec, 21)
         rule = fresh_rule(cfg, spec, initial, num_clients=3)
         rng = np.random.default_rng(22)
@@ -417,7 +417,7 @@ class TestAggregate:
             assert_array_equal(current[rule.head], initial[rule.head])
 
     def test_rejects_weight_mismatch(self):
-        cfg = strategies.StrategyConfig()
+        cfg = config.StrategyConfig()
         updates = [make_update(0, [1.0, 2.0, 3.0])]
         with pytest.raises(ValueError, match="shape"):
             strategies.aggregate(
@@ -425,7 +425,7 @@ class TestAggregate:
             )
 
     def test_rejects_unnormalized_weights(self):
-        cfg = strategies.StrategyConfig()
+        cfg = config.StrategyConfig()
         updates = [make_update(0, [1.0, 2.0]), make_update(1, [0.0, 0.0])]
         with pytest.raises(ValueError, match="sum to 1"):
             strategies.aggregate(
@@ -433,7 +433,7 @@ class TestAggregate:
             )
 
     def test_rejects_non_finite_result(self):
-        cfg = strategies.StrategyConfig()
+        cfg = config.StrategyConfig()
         updates = [make_update(0, [np.inf, 1.0]), make_update(1, [0.0, 0.0])]
         with pytest.raises(nn.TrainingDiverged):
             strategies.aggregate(
@@ -457,7 +457,7 @@ class TestFoldMemory:
         params = rng.normal(size=size)
         updates = random_updates(rng, 32, size)
         u = rng.dirichlet(np.ones(32))
-        rule = fresh_rule(strategies.StrategyConfig(kind=kind), spec, params, num_clients=32)
+        rule = fresh_rule(config.StrategyConfig(kind=kind), spec, params, num_clients=32)
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
@@ -480,7 +480,7 @@ class TestNormalizationComposability:
         global_params = nn.init_model(spec, 31)
         size = spec.param_count()
         for kind in strategies.STRATEGY_KINDS:
-            cfg = strategies.StrategyConfig(kind=kind)
+            cfg = config.StrategyConfig(kind=kind)
             updates = [
                 make_update(i, rng.normal(size=size), n=20, tau=4)
                 for i in range(4)
