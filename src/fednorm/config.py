@@ -127,8 +127,9 @@ def _as_section(value, name, *, kinds, default_kind=None):
 
 
 def _to_json(value):
-    # sections become objects with their kind first, tuples become lists
-    if is_dataclass(value):
+    # sections become objects with their kind first, tuples become lists; a
+    # section class is left to the checks, which reject it as not an object
+    if is_dataclass(value) and not isinstance(value, type):
         out = {"kind": value.kind} if hasattr(value, "kind") else {}
         out.update((f.name, _to_json(getattr(value, f.name))) for f in fields(value))
         return out

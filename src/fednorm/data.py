@@ -92,6 +92,10 @@ def generate_synthetic(
 
     Class centers are random unit vectors scaled by ``spread``; samples add
     standard normal noise.  Larger spread means more separable classes.
+    Rows are class-blocked.  The noise is drawn into the returned array and
+    each class's center added through a (classes, per_class, dims) view, so
+    the features are allocated once, with the bits of ``centers[labels] +
+    noise``.
     """
     if classes < 2:
         raise ValueError(f"need >= 2 classes, got {classes}")
@@ -104,8 +108,9 @@ def generate_synthetic(
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     centers *= spread
     labels = np.repeat(np.arange(classes), per_class)
-    noise = rng.normal(size=(classes * per_class, dims))
-    return Dataset(centers[labels] + noise, labels, classes)
+    features = rng.normal(size=(classes * per_class, dims))
+    features.reshape(classes, per_class, dims)[...] += centers[:, None, :]
+    return Dataset(features, labels, classes)
 
 
 def _read_idx_header(raw: bytes, path: Path, expected_magic: int, ndim: int):
@@ -202,7 +207,11 @@ def partition_dirichlet(
     """Label-skewed shards: per class, client shares are drawn Dir(alpha).
 
     The whole plan is redrawn (up to ``max_redraws`` extra attempts) until
-    every client holds at least ``min_samples`` samples.
+    every client holds at least ``min_samples`` samples.  A draw permutes each
+    class's rows and deals consecutive runs of them to clients 0, 1, ... by
+    largest-remainder counts, writing each row's client into one ``owner``
+    array; only the accepted draw is split into shards, each listing its
+    rows in index order.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -218,20 +227,23 @@ def partition_dirichlet(
             f"each from {len(dataset)} total"
         )
     rng = np.random.default_rng(seed)
+    rows = [np.flatnonzero(dataset.labels == c) for c in range(dataset.class_count)]
+    rows = [idx for idx in rows if idx.size]  # an absent class draws nothing
+    concentration = np.full(clients, alpha)
+    client_ids = np.arange(clients)
+    # every row has a class, so each draw writes every entry
+    owner = np.empty(len(dataset), dtype=np.int64)
     for _ in range(max_redraws + 1):
-        buckets: list[list[np.ndarray]] = [[] for _ in range(clients)]
-        for c in range(dataset.class_count):
-            idx = np.flatnonzero(dataset.labels == c)
-            if idx.size == 0:
-                continue
+        sizes = np.zeros(clients, dtype=np.int64)
+        for idx in rows:
             idx = rng.permutation(idx)
-            shares = rng.dirichlet(np.full(clients, alpha))
-            counts = _largest_remainder(shares, idx.size)
-            for r, chunk in enumerate(np.split(idx, np.cumsum(counts)[:-1])):
-                buckets[r].append(chunk)
-        sizes = [sum(len(c) for c in b) for b in buckets]
-        if min(sizes) >= min_samples:
-            return PartitionPlan([np.sort(np.concatenate(b)) for b in buckets])
+            counts = _largest_remainder(rng.dirichlet(concentration), idx.size)
+            owner[idx] = np.repeat(client_ids, counts)
+            sizes += counts
+        if sizes.min() >= min_samples:
+            # a stable sort lists each client's rows in index order
+            order = np.argsort(owner, kind="stable")
+            return PartitionPlan(np.split(order, np.cumsum(sizes)[:-1]))
     raise ValueError(
         f"no draw satisfied min_samples={min_samples} "
         f"after {max_redraws + 1} attempts (alpha={alpha}, clients={clients})"

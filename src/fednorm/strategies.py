@@ -112,6 +112,9 @@ class Scaffold(FedAvg):
 
     The variate update is option II of arXiv:1910.06378, which needs only what
     the server holds; its division by the local rate presumes plain sgd steps.
+    ``client_c`` is one (N, P) block, row r client r's variate.  A large block
+    is a mapping of zero pages, so a row takes memory only once a fold first
+    writes it, and clients never sampled cost nothing.
     """
 
     def __init__(self, cfg, spec, params, num_clients, optimizer):
@@ -120,10 +123,16 @@ class Scaffold(FedAvg):
             raise ValueError(f"scaffold requires the sgd local optimizer, got {optimizer.kind!r}")
         self.lr = optimizer.lr
         self.c = np.zeros(len(params))
-        self.client_c = {r: np.zeros(len(params)) for r in range(num_clients)}
+        self.client_c = np.zeros((num_clients, len(params)))
+
+    def variate(self, client_id: int) -> np.ndarray:
+        """Client ``client_id``'s row of ``client_c``; a negative id must not wrap."""
+        if not 0 <= client_id < len(self.client_c):
+            raise IndexError(f"client {client_id} outside [0, {len(self.client_c)})")
+        return self.client_c[client_id]
 
     def hooks(self, global_params, client_id):
-        c, c_r = self.c, self.client_c[client_id]
+        c, c_r = self.c, self.variate(client_id)
 
         def adjust(span, p, g, scratch):
             np.subtract(c[span], c_r[span], out=scratch)
@@ -147,7 +156,8 @@ class Scaffold(FedAvg):
             # begun at +0.0, the sum drops only the sign of a column of -0.0
             # deltas, which needs c == +0.0 there: c's bits do not change
             total += delta
-            self.client_c[up.client_id] += delta
+            c_r = self.variate(up.client_id)
+            c_r += delta
         total /= len(updates)
         total *= len(updates) / len(self.client_c)
         self.c += total

@@ -143,6 +143,26 @@ class TestRejections:
         assert str(built.value) == message
         assert str(read.value) == f"{section}.{message}"
 
+    SECTION_CLASSES = [
+        ("dataset", cfg.SyntheticData),
+        ("dataset", cfg.IdxData),
+        ("partition", cfg.DirichletPartition),
+        ("partition", cfg.LabelSplitPartition),
+        ("strategy", cfg.StrategyConfig),
+        ("optimizer", cfg.OptimizerSettings),
+    ]
+
+    @pytest.mark.parametrize(
+        "key, cls", SECTION_CLASSES, ids=[cls.__name__ for _, cls in SECTION_CLASSES]
+    )
+    def test_a_section_class_is_not_a_section(self, key, cls):
+        """The class is a dataclass too, but not a value: a RunConfig given
+        one is rejected by name, neither built on defaults nor crashed."""
+        sections = dict(dataset=cfg.SyntheticData(), strategy=cfg.StrategyConfig())
+        sections[key] = cls
+        with pytest.raises(cfg.ConfigError, match=rf"^{key} must be an object, got <class"):
+            cfg.RunConfig(**sections)
+
     def test_strategy_ranges_name_the_section_and_field(self):
         for key, bad in (("mu", -1.0), ("beta", 1.0), ("server_lr", 0.0)):
             data = minimal()

@@ -1,6 +1,7 @@
 """Dataset and partitioning checks: synthetic blobs, IDX parsing, shard plans."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,38 @@ class TestSyntheticData:
         distances = np.linalg.norm(held_x[:, None, :] - centroids[None], axis=2)
         accuracy = np.mean(np.argmin(distances, axis=1) == held_y)
         assert accuracy > 0.95
+
+    @pytest.mark.parametrize("classes, dims, per_class, spread, seed", [
+        (3, 4, 10, 2.0, 5), (2, 2, 1, 0.5, 0), (10, 32, 200, 3.0, 7),
+    ])
+    def test_features_are_class_centers_plus_noise_bitwise(
+        self, classes, dims, per_class, spread, seed
+    ):
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(size=(classes, dims))
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        centers *= spread
+        labels = np.repeat(np.arange(classes), per_class)
+        noise = rng.normal(size=(classes * per_class, dims))
+        ds = data.generate_synthetic(classes, dims, per_class, spread, seed=seed)
+        assert_array_equal(ds.labels, labels)
+        assert_array_equal(
+            ds.features.view(np.uint64), (centers[labels] + noise).view(np.uint64)
+        )
+
+    def test_features_are_allocated_once(self):
+        """numpy reports its buffers to tracemalloc: the peak of the call
+        stays near the arrays it returns, with no second feature-sized copy.
+        A first call imports numpy modules that load lazily, so one runs first."""
+        data.generate_synthetic(2, 2, 1, 1.0, seed=0)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            ds = data.generate_synthetic(10, 32, 500, 3.0, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.3 * (ds.features.nbytes + ds.labels.nbytes)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="classes"):

@@ -6,7 +6,8 @@ suite draws the same examples on every run and writes nothing to disk.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fednorm import contribution as co
@@ -101,6 +102,28 @@ def labelled_dataset(classes: int, per_class: int) -> data.Dataset:
     return data.Dataset(np.zeros((len(labels), 2)), labels, classes)
 
 
+def bucket_partition(dataset, *, alpha, clients, min_samples, max_redraws, seed):
+    """The per-client bucket algorithm ``partition_dirichlet`` replaced, with
+    the same rng calls: each draw splits every class's permuted rows into one
+    chunk per client and each client's chunks are sorted together.  None when
+    no draw gives every client ``min_samples`` rows."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_redraws + 1):
+        buckets = [[] for _ in range(clients)]
+        for c in range(dataset.class_count):
+            idx = np.flatnonzero(dataset.labels == c)
+            if idx.size == 0:
+                continue
+            idx = rng.permutation(idx)
+            shares = rng.dirichlet(np.full(clients, alpha))
+            counts = data._largest_remainder(shares, idx.size)
+            for r, chunk in enumerate(np.split(idx, np.cumsum(counts)[:-1])):
+                buckets[r].append(chunk)
+        if min(sum(len(c) for c in b) for b in buckets) >= min_samples:
+            return [np.sort(np.concatenate(b)) for b in buckets]
+    return None
+
+
 class TestPartitioners:
     @deterministic
     @given(
@@ -120,6 +143,39 @@ class TestPartitioners:
         merged = np.concatenate(plan.assignments)
         assert len(np.unique(merged)) == len(merged)
         np.testing.assert_array_equal(np.sort(merged), np.arange(len(ds)))
+
+    @deterministic
+    @given(
+        # a zero count leaves a class with no rows below class_count
+        shard_sizes=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        shuffle=st.integers(0, 2**32 - 1),
+        clients=st.integers(2, 8),
+        # small alpha leaves clients empty, so draws are redrawn or run out
+        alpha=st.sampled_from([0.01, 0.05]) | st.floats(0.01, 10.0),
+        min_samples=st.integers(1, 5),
+        max_redraws=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dirichlet_assignments_match_per_client_buckets(
+        self, shard_sizes, shuffle, clients, alpha, min_samples, max_redraws, seed
+    ):
+        assume(clients * min_samples <= sum(shard_sizes))
+        labels = np.random.default_rng(shuffle).permutation(
+            np.repeat(np.arange(len(shard_sizes)), shard_sizes)
+        )
+        ds = data.Dataset(np.zeros((len(labels), 1)), labels, len(shard_sizes))
+        args = dict(alpha=alpha, clients=clients, min_samples=min_samples,
+                    max_redraws=max_redraws, seed=seed)
+        expected = bucket_partition(ds, **args)
+        if expected is None:
+            with pytest.raises(ValueError, match=f"after {max_redraws + 1} attempts"):
+                data.partition_dirichlet(ds, **args)
+            return
+        plan = data.partition_dirichlet(ds, **args)
+        assert len(plan.assignments) == clients
+        for got, want in zip(plan.assignments, expected):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
     @deterministic
     @given(
@@ -252,7 +308,7 @@ class TestScaffoldFold:
         optimizer = config.OptimizerSettings(kind="sgd", lr=lr)
         rule = strategies.Scaffold(cfg, None, global_params, len(client_c), optimizer)
         rule.c = c.copy()
-        rule.client_c = {r: row.copy() for r, row in enumerate(client_c)}
+        rule.client_c[:] = client_c
         new = strategies.aggregate(global_params, updates, u, rule)
 
         moved = global_params - np.array([up.weights for up in updates])

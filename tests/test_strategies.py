@@ -383,7 +383,7 @@ class TestAggregate:
         client_c = {0: np.array([0.1, 0.0, -0.1]), 2: np.array([-0.3, 0.2, 0.1])}
         # the fold updates the rule's variates in place, so hand it copies
         rule.c = c.copy()
-        rule.client_c.update({r: c_r.copy() for r, c_r in client_c.items()})
+        rule.client_c[[0, 2]] = client_c[0], client_c[2]
         updates = [
             make_update(0, [0.5, -1.0, 0.0], tau=2),
             make_update(2, [1.0, 0.0, 1.0], tau=3),
@@ -439,6 +439,60 @@ class TestAggregate:
             strategies.aggregate(
                 np.zeros(2), updates, np.array([0.5, 0.5]), fresh_rule(cfg, None, np.zeros(2))
             )
+
+
+def bits(values):
+    """The raw IEEE bits, so that 0.0 and -0.0 differ."""
+    return np.asarray(values).view(np.uint64)
+
+
+class TestScaffoldVariates:
+    """``client_c`` is one (N, P) block; row r is client r's variate."""
+
+    CLIENTS, SIZE = 5, 7
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(50)
+        self.params = self.rng.normal(size=self.SIZE)
+        cfg = config.StrategyConfig(kind="scaffold")
+        self.rule = fresh_rule(cfg, None, self.params, self.CLIENTS)
+
+    def fold(self, *client_ids):
+        updates = [make_update(r, self.rng.normal(size=self.SIZE)) for r in client_ids]
+        u = np.full(len(updates), 1.0 / len(updates))
+        return strategies.aggregate(self.params, updates, u, self.rule)
+
+    def test_rows_read_positive_zero_until_their_first_fold(self):
+        assert self.rule.client_c.shape == (self.CLIENTS, self.SIZE)
+        assert not bits(self.rule.client_c).any()
+        self.fold(1, 3)
+        for r in (0, 2, 4):
+            assert not bits(self.rule.client_c[r]).any()
+        assert bits(self.rule.client_c[[1, 3]]).any(axis=1).all()
+
+    def test_an_unfolded_clients_hook_adds_the_server_variate(self):
+        c = self.rng.normal(size=self.SIZE)
+        c[:2] = -0.0
+        grad = self.rng.normal(size=self.SIZE)
+        grad[1:3] = 0.0
+        self.rule.c = c.copy()
+        adjust = self.rule.hooks(self.params, 2)
+        assert_array_equal(bits(adjusted(adjust, self.params, grad)), bits(grad + c))
+
+    def test_a_fold_writes_only_the_participants_rows(self):
+        self.rule.client_c[:] = self.rng.normal(size=(self.CLIENTS, self.SIZE))
+        before = self.rule.client_c.copy()
+        self.fold(1, 3)
+        changed = (bits(self.rule.client_c) != bits(before)).any(axis=1)
+        assert changed.tolist() == [False, True, False, True, False]
+
+    @pytest.mark.parametrize("client_id", [-1, -CLIENTS, CLIENTS, CLIENTS + 1])
+    def test_an_id_outside_the_block_raises_and_never_wraps(self, client_id):
+        with pytest.raises(IndexError, match=rf"client {client_id} outside \[0, 5\)"):
+            self.rule.hooks(self.params, client_id)
+        with pytest.raises(IndexError, match=rf"client {client_id} outside \[0, 5\)"):
+            self.fold(client_id)
+        assert not bits(self.rule.client_c).any()
 
 
 class TestFoldMemory:
