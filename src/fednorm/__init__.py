@@ -18,7 +18,7 @@ from .data import (
     train_test_split,
 )
 from .nn import ModelSpec, OptimizerState, TrainingDiverged, init_model
-from .simulation import Federation, RoundReport, run_experiment
+from .simulation import Federation, RoundReport, build
 from .strategies import ClientUpdate
 
 __version__ = "0.1.0"
@@ -37,6 +37,7 @@ __all__ = [
     "RunConfig",
     "StrategyConfig",
     "TrainingDiverged",
+    "build",
     "contribution_factors",
     "cosine",
     "generate_synthetic",
@@ -45,7 +46,6 @@ __all__ = [
     "normalize_weights",
     "partition_dirichlet",
     "partition_label_split",
-    "run_experiment",
     "similarity_matrix",
     "train_test_split",
 ]

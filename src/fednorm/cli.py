@@ -90,7 +90,7 @@ def cmd_run(args) -> int:
                 f"loss={report.loss:.4f} clients={len(report.clients)}"
             )
 
-        reports = simulation.run_experiment(cfg, on_report).reports
+        reports = simulation.build(cfg).run(cfg.rounds, on_report)
 
     summary = {
         "rounds": len(reports),

@@ -208,10 +208,10 @@ def round_threads(param_count: int, participants: int) -> int:
 
 @dataclass
 class Federation:
-    """The full simulation: the run's ``RunConfig``, whose settings it reads,
-    datasets, clients and server state.  The model, the rule, which alone holds
-    the strategy's state, and the sampling seed are derived from the config
-    once; the training threads' workspaces are made on first need and kept."""
+    """The full simulation, as ``build`` makes it: the run's ``RunConfig``, whose
+    settings it reads, datasets, clients and server state.  The model, the rule,
+    which alone holds the strategy's state, and the sampling seed are derived from
+    the config once; the training threads' workspaces are made on first need and kept."""
 
     config: RunConfig
     train: data.Dataset
@@ -354,12 +354,6 @@ class Federation:
         return reports
 
 
-@dataclass
-class ExperimentResult:
-    reports: list[RoundReport]
-    federation: Federation
-
-
 # seed-derivation tags; each stage gets its own independent stream
 _TAG_DATA, _TAG_SPLIT, _TAG_PARTITION, _TAG_INIT, _TAG_SAMPLE, _TAG_CLIENT = range(6)
 
@@ -374,8 +368,8 @@ def model_spec(config: RunConfig, train: data.Dataset) -> nn.ModelSpec:
     return nn.ModelSpec((train.dim, *config.hidden_sizes, train.class_count), config.activation)
 
 
-def run_experiment(config: RunConfig, on_report=None) -> ExperimentResult:
-    """Build the whole federation from a RunConfig and run every round."""
+def build(config: RunConfig) -> Federation:
+    """The federation ``config`` describes, before its first round."""
     master = config.seed
     # no name holds the unsplit dataset, so it is freed once the split returns
     train, test = data.train_test_split(
@@ -383,14 +377,22 @@ def run_experiment(config: RunConfig, on_report=None) -> ExperimentResult:
         config.test_fraction,
         _derive_seed(master, _TAG_SPLIT)[0],
     )
-    plan = _build_partition(config, train, _derive_seed(master, _TAG_PARTITION)[0])
-
+    part = config.partition
+    if part.kind == "dirichlet":
+        plan = data.partition_dirichlet(
+            train,
+            alpha=part.alpha,
+            clients=config.clients,
+            min_samples=part.min_samples,
+            max_redraws=part.max_redraws,
+            seed=_derive_seed(master, _TAG_PARTITION)[0],
+        )
+    else:
+        plan = data.partition_label_split(train, part.groups)
     params = nn.init_model(model_spec(config, train), _derive_seed(master, _TAG_INIT)[0])
     seeds = _derive_seed(master, _TAG_CLIENT, count=plan.num_clients)
     clients = [ClientState(r, plan.assignments[r], seeds[r]) for r in range(plan.num_clients)]
-    federation = Federation(config, train, test, clients, ServerState(params))
-    reports = federation.run(config.rounds, on_report)
-    return ExperimentResult(reports=reports, federation=federation)
+    return Federation(config, train, test, clients, ServerState(params))
 
 
 def _build_dataset(config, seed: int) -> data.Dataset | data.IdxImages:
@@ -399,17 +401,3 @@ def _build_dataset(config, seed: int) -> data.Dataset | data.IdxImages:
     if ds.kind == "synthetic":
         return data.generate_synthetic(ds.classes, ds.dims, ds.per_class, ds.spread, seed)
     return data.read_idx(ds.images, ds.labels)
-
-
-def _build_partition(config, train: data.Dataset, seed: int) -> data.PartitionPlan:
-    part = config.partition
-    if part.kind == "dirichlet":
-        return data.partition_dirichlet(
-            train,
-            alpha=part.alpha,
-            clients=config.clients,
-            min_samples=part.min_samples,
-            max_redraws=part.max_redraws,
-            seed=seed,
-        )
-    return data.partition_label_split(train, part.groups)

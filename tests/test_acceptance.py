@@ -50,7 +50,7 @@ def experiment(kind, normalize, alpha, seed, rounds=30):
         seed=seed,
         normalize=normalize,
     )
-    return simulation.run_experiment(run_cfg).reports
+    return simulation.build(run_cfg).run(run_cfg.rounds)
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +170,7 @@ class TestOutlierPrioritization:
                     seed=0,
                     normalize=normalize,
                 )
-                return simulation.run_experiment(run_cfg).reports
+                return simulation.build(run_cfg).run(run_cfg.rounds)
 
             scaled = run(True)
             plain = run(False)

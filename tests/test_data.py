@@ -299,12 +299,21 @@ class TestLabelSplitPartition:
 
 class TestPartitionPlan:
     def test_rejects_overlapping_shards(self):
-        with pytest.raises(ValueError, match="overlap"):
-            data.PartitionPlan([np.array([0, 1]), np.array([1, 2])])
+        for shards in (
+            [[0, 1], [1, 2]],
+            [[0, 3, 3], [1, 2]],  # a duplicate inside one shard
+            [[5, 0], [1, 2], [3, 4], [6, 5]],  # shared by the first and the last
+        ):
+            with pytest.raises(ValueError, match="client shards overlap"):
+                data.PartitionPlan([np.array(shard) for shard in shards])
 
     def test_rejects_empty_shard(self):
         with pytest.raises(ValueError, match="empty"):
             data.PartitionPlan([np.array([0]), np.array([], dtype=np.int64)])
+
+    def test_overlap_check_leaves_the_shards_as_given(self):
+        plan = data.PartitionPlan([np.array([3, 0]), np.array([2, 1])])
+        assert [a.tolist() for a in plan.assignments] == [[3, 0], [2, 1]]
 
 
 class TestTrainTestSplit:

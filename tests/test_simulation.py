@@ -623,6 +623,8 @@ class TestDeterminism:
 
 
 class TestRunExperiment:
+    """Runs set up by ``simulation.build``, and the checks their config passes."""
+
     def base_config(self, **overrides):
         fields = dict(
             dataset=cfg.SyntheticData(classes=4, dims=6, per_class=40, spread=3.0),
@@ -640,19 +642,33 @@ class TestRunExperiment:
         return cfg.RunConfig(**fields)
 
     def test_dirichlet_experiment_runs_and_reports(self):
-        result = simulation.run_experiment(self.base_config())
-        assert [r.round_index for r in result.reports] == [0, 1]
-        assert np.isfinite(result.reports[-1].accuracy)
-        assert result.federation.spec.layer_sizes == (6, 8, 4)
+        config = self.base_config()
+        federation = simulation.build(config)
+        reports = federation.run(config.rounds)
+        assert [r.round_index for r in reports] == [0, 1]
+        assert np.isfinite(reports[-1].accuracy)
+        assert federation.spec.layer_sizes == (6, 8, 4)
 
     def test_label_split_experiment_runs(self):
-        result = simulation.run_experiment(
-            self.base_config(
-                partition=cfg.LabelSplitPartition(groups=((0, 1), (2, 3))), clients=2
-            )
+        config = self.base_config(
+            partition=cfg.LabelSplitPartition(groups=((0, 1), (2, 3))), clients=2
         )
-        assert len(result.reports) == 2
-        assert len(result.federation.clients) == 2
+        federation = simulation.build(config)
+        reports = federation.run(config.rounds)
+        assert len(reports) == 2
+        assert len(federation.clients) == 2
+
+    def test_build_trains_nothing(self):
+        """The built federation is at round 0 with the initial weights of
+        the seed's init stream."""
+        config = self.base_config()
+        federation = simulation.build(config)
+        assert federation.server.round_index == 0
+        initial = nn.init_model(
+            simulation.model_spec(config, federation.train),
+            simulation._derive_seed(config.seed, simulation._TAG_INIT)[0],
+        )
+        assert_array_equal(federation.server.params.view(np.uint64), initial.view(np.uint64))
 
     def test_python_config_gets_the_cross_key_checks(self):
         """A RunConfig built in Python is checked as one read from JSON, so
@@ -695,26 +711,43 @@ class TestRunExperiment:
         shape = dict(hidden_sizes=(7, 5), activation="tanh")
         built = build_federation(**shape)
         built.run(1)
-        for fed in (built, simulation.run_experiment(self.base_config(**shape)).federation):
+        config = self.base_config(**shape)
+        ran = simulation.build(config)
+        ran.run(config.rounds)
+        for fed in (built, ran):
             train = fed.train
             assert fed.spec == nn.ModelSpec((train.dim, 7, 5, train.class_count), "tanh")
             assert fed.server.params.shape == (fed.spec.param_count(),)
 
     def test_experiment_is_reproducible(self):
-        first = simulation.run_experiment(self.base_config(seed=11))
-        second = simulation.run_experiment(self.base_config(seed=11))
-        assert_array_equal(
-            first.federation.server.params, second.federation.server.params
-        )
-        assert strip_durations(first.reports) == strip_durations(second.reports)
+        """Two builds of one config hold the same bits, and so do their runs."""
+        label_split = cfg.LabelSplitPartition(groups=((0, 1), (2, 3)))
+        for config in (
+            self.base_config(seed=11),
+            self.base_config(seed=11, partition=label_split, clients=2),
+        ):
+            first, second = simulation.build(config), simulation.build(config)
+            for a, b in ((first.train, second.train), (first.test, second.test)):
+                assert_array_equal(a.features.view(np.uint64), b.features.view(np.uint64))
+                assert_array_equal(a.labels, b.labels)
+            assert len(first.clients) == len(second.clients) == config.clients
+            for a, b in zip(first.clients, second.clients):
+                assert a.client_id == b.client_id and a.seed == b.seed
+                assert_array_equal(a.indices, b.indices)
+            assert_array_equal(
+                first.server.params.view(np.uint64), second.server.params.view(np.uint64)
+            )
+            first_reports = first.run(config.rounds)
+            second_reports = second.run(config.rounds)
+            assert_array_equal(first.server.params, second.server.params)
+            assert strip_durations(first_reports) == strip_durations(second_reports)
 
     def test_participants_are_drawn_from_the_master_seed(self):
         """The draw depends only on the master seed, the round and the client
         count; these ids pin the sampling seed derived from the master."""
-        result = simulation.run_experiment(
-            self.base_config(seed=0, clients=10, participation=0.5, rounds=4)
-        )
-        assert [[c.client_id for c in r.clients] for r in result.reports] == [
+        config = self.base_config(seed=0, clients=10, participation=0.5, rounds=4)
+        reports = simulation.build(config).run(config.rounds)
+        assert [[c.client_id for c in r.clients] for r in reports] == [
             [0, 1, 5, 7, 9], [1, 2, 3, 4, 5], [2, 4, 5, 7, 9], [0, 2, 4, 5, 9],
         ]
 
@@ -736,14 +769,15 @@ class TestRunExperiment:
         config = self.base_config(
             dataset=cfg.IdxData(images=str(images), labels=str(labels)), rounds=1, seed=3
         )
-        result = simulation.run_experiment(config)
-        assert np.isfinite(result.reports[0].accuracy)
+        built = simulation.build(config)
+        reports = built.run(config.rounds)
+        assert np.isfinite(reports[0].accuracy)
         expected = data.train_test_split(
             data.load_idx(images, labels),
             config.test_fraction,
             simulation._derive_seed(config.seed, simulation._TAG_SPLIT)[0],
         )
-        sides = (result.federation.train, result.federation.test)
+        sides = (built.train, built.test)
         for side_data, reference in zip(sides, expected):
             assert_array_equal(
                 side_data.features.view(np.uint64), reference.features.view(np.uint64)
@@ -754,9 +788,9 @@ class TestRunExperiment:
         # the run above has made every lazy allocation of the set-up path
         tracemalloc.start()
         try:
-            federation = simulation.run_experiment(
+            federation = simulation.build(
                 self.base_config(dataset=config.dataset, rounds=0, seed=3)
-            ).federation
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -776,7 +810,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(simulation, "_build_dataset", traced)
         alive = []
-        simulation.run_experiment(
-            self.base_config(), on_report=lambda report: alive.append(unsplit[0]() is not None)
+        config = self.base_config()
+        simulation.build(config).run(
+            config.rounds, on_report=lambda report: alive.append(unsplit[0]() is not None)
         )
         assert alive == [False, False]
