@@ -151,7 +151,8 @@ def local_train(
                 nn.optimizer_step(params, grad, opt, adjust)
             except nn.TrainingDiverged as exc:
                 raise nn.TrainingDiverged(
-                    f"client {client.client_id} diverged at local step {steps}: {exc}"
+                    f"client {client.client_id} diverged at local step {steps} "
+                    f"of round {round_index}: {exc}"
                 ) from exc
             steps += 1
 
@@ -313,14 +314,18 @@ class Federation:
 
     def run_round(self) -> RoundReport:
         """Advance the federation by one round and report on it: sample,
-        train, weigh, fold, evaluate."""
+        train, weigh, fold, compare each client with the new model, then
+        evaluate it once the client vectors are freed.  A fold that comes
+        out non-finite raises with the round's index in front."""
         start = time.perf_counter()
         server = self.server
         participants = self._sample_participants(server.round_index)
         updates = self._train_clients(participants)
         lam, nu, u = self._weigh(participants, updates)
-        new_params = strategies.aggregate(server.params, updates, u, self.rule)
-        accuracy, loss = evaluate(self.spec, new_params, self.test)
+        try:
+            new_params = strategies.aggregate(server.params, updates, u, self.rule)
+        except nn.TrainingDiverged as exc:
+            raise nn.TrainingDiverged(f"round {server.round_index}: {exc}") from exc
         metrics = [
             ClientRoundMetrics(
                 client_id=up.client_id,
@@ -331,6 +336,10 @@ class Federation:
             )
             for i, up in enumerate(updates)
         ]
+        # the cosines were the client vectors' last readers; freed here, they
+        # leave their memory to the evaluation's activations
+        del updates
+        accuracy, loss = evaluate(self.spec, new_params, self.test)
         report = RoundReport(
             round_index=server.round_index,
             accuracy=accuracy,

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fednorm import config as cfg
-from fednorm import data, nn, simulation, strategies
+from fednorm import contribution, data, nn, simulation, strategies
 
 
 def strip_durations(reports):
@@ -156,7 +156,8 @@ class TestLocalTrain:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_names_client_and_step(self):
         """A huge gradient correction blows the weights up on the first step,
-        so the second forward pass overflows and the error names the client."""
+        so the second forward pass overflows and the error names the client,
+        the step and the round."""
         ds = data.generate_synthetic(2, 3, 20, 3.0, seed=0)
         client = simulation.ClientState(7, np.arange(40), seed=1)
         spec = nn.ModelSpec((3, 4, 2))
@@ -164,10 +165,12 @@ class TestLocalTrain:
         def adjust(span, p, g, scratch):
             g += 1e200
 
-        with pytest.raises(nn.TrainingDiverged, match=r"client 7 diverged at local step \d+"):
+        with pytest.raises(
+            nn.TrainingDiverged, match=r"^client 7 diverged at local step \d+ of round 5: "
+        ):
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
-                epochs=4, batch_size=40, round_index=0, adjust=adjust,
+                epochs=4, batch_size=40, round_index=5, adjust=adjust,
                 workspace=simulation.Workspace.create(
                     spec, cfg.OptimizerSettings(kind="sgd", lr=1.0), 40
                 ),
@@ -450,6 +453,79 @@ class TestRunRound:
         assert np.all((u > 0.0) & (u < 1.0))
         for c in report.clients:
             assert -1.0 <= c.cos_local_global <= 1.0
+
+    def test_reported_values_match_a_recomputed_round(self, build_federation):
+        """Each client's cosine is that of its own retrained update with the
+        new global model, and the round's accuracy and loss are the new
+        model's on the test set, bit for bit."""
+        fed = build_federation(normalize=True)
+        fed.run_round()
+        broadcast = fed.server.params.copy()
+        reference = [
+            simulation.local_train(
+                fed.spec, fed.train, client, broadcast,
+                epochs=fed.config.epochs, batch_size=fed.config.batch_size, round_index=1,
+                workspace=simulation.Workspace.create(
+                    fed.spec, fed.config.optimizer, fed.config.batch_size
+                ),
+            )
+            for client in fed.clients
+        ]
+        report = fed.run_round()
+        for metrics, update in zip(report.clients, reference, strict=True):
+            assert metrics.client_id == update.client_id
+            assert metrics.cos_local_global == contribution.cosine(
+                update.weights, fed.server.params
+            )
+        accuracy, loss = simulation.evaluate(fed.spec, fed.server.params, fed.test)
+        assert report.accuracy == accuracy
+        assert report.loss == loss
+
+    def test_non_finite_fold_names_the_round(self, build_federation, monkeypatch):
+        fed = build_federation()
+        fed.run(2)
+        monkeypatch.setattr(
+            fed.rule, "fold", lambda global_params, updates, u: np.full_like(global_params, np.nan)
+        )
+        with pytest.raises(
+            nn.TrainingDiverged,
+            match=r"^round 2: aggregation produced non-finite parameters \(fedavg\)$",
+        ):
+            fed.run_round()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("kind, optimizer", [("fedavg", "adam"), ("scaffold", "sgd")])
+    def test_evaluation_starts_with_no_client_vector_alive(
+        self, build_federation, monkeypatch, kind, optimizer, normalize, threads
+    ):
+        """numpy reports its buffers to tracemalloc.  When the round calls
+        ``evaluate``, the memory it holds beyond its start is the new global
+        vector and small change, not the 20 trained client vectors, so the
+        evaluation's activations do not add to them."""
+        held = []
+
+        def recorded(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return original(*args)
+
+        original = simulation.evaluate
+        monkeypatch.setattr(simulation, "evaluate", recorded)
+        force_threads(monkeypatch, threads)
+        fed = build_federation(
+            kind=kind, optimizer=cfg.OptimizerSettings(kind=optimizer, lr=0.05),
+            normalize=normalize, num_clients=20, hidden_sizes=(256, 256),
+        )
+        vector = 8 * fed.spec.param_count()  # 68,355 parameters
+        fed.run_round()  # makes the workspaces and the rule's first state
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            report = fed.run_round()
+        finally:
+            tracemalloc.stop()
+        assert len(report.clients) == 20
+        assert held[-1] - base < 2 * vector
 
     def test_normalization_off_reports_importance_as_final(self, build_federation):
         fed = build_federation(normalize=False)
