@@ -63,6 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _summary(accuracies: list[float], losses: list[float]) -> dict:
+    """A run's round count, final and best accuracy and final loss; None after 0 rounds."""
+    return {
+        "rounds": len(accuracies),
+        "final_accuracy": accuracies[-1] if accuracies else None,
+        "best_accuracy": max(accuracies, default=None),
+        "final_loss": losses[-1] if losses else None,
+    }
+
+
 def cmd_run(args) -> int:
     cfg = config_mod.load(args.config, args)
     outdir = Path(cfg.out)
@@ -93,10 +103,7 @@ def cmd_run(args) -> int:
         reports = simulation.build(cfg).run(cfg.rounds, on_report)
 
     summary = {
-        "rounds": len(reports),
-        "final_accuracy": reports[-1].accuracy if reports else None,
-        "best_accuracy": max((r.accuracy for r in reports), default=None),
-        "final_loss": reports[-1].loss if reports else None,
+        **_summary([r.accuracy for r in reports], [r.loss for r in reports]),
         "duration_s": time.perf_counter() - started,
     }
     payload = {"config": cfg.to_dict(), "summary": summary}
@@ -143,20 +150,8 @@ def cmd_compare(args) -> int:
     common = min(len(acc_a), len(acc_b))
     deltas = [acc_a[i] - acc_b[i] for i in range(common)]
     result = {
-        "run_a": {
-            "path": str(args.run_a),
-            "rounds": len(acc_a),
-            "final_accuracy": acc_a[-1],
-            "best_accuracy": max(acc_a),
-            "final_loss": rows_a[-1][2],
-        },
-        "run_b": {
-            "path": str(args.run_b),
-            "rounds": len(acc_b),
-            "final_accuracy": acc_b[-1],
-            "best_accuracy": max(acc_b),
-            "final_loss": rows_b[-1][2],
-        },
+        "run_a": {"path": str(args.run_a), **_summary(acc_a, [r[2] for r in rows_a])},
+        "run_b": {"path": str(args.run_b), **_summary(acc_b, [r[2] for r in rows_b])},
         "final_accuracy_delta": acc_a[-1] - acc_b[-1],
         "per_round_accuracy_delta": deltas,
         "rounds_to_target": {

@@ -85,6 +85,14 @@ class TestRunCommand:
         _, rows = read_rows(tmp_path / "out")
         assert len(rows) == 1 * (3 + 1)
 
+    def test_zero_rounds_summarise_as_none(self, tmp_path):
+        path = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(path), "--rounds", "0"]) == 0
+        summary = json.loads((tmp_path / "out" / "run.json").read_text())["summary"]
+        assert list(summary)[:4] == ["rounds", "final_accuracy", "best_accuracy", "final_loss"]
+        assert summary["rounds"] == 0
+        assert summary["final_accuracy"] is summary["best_accuracy"] is summary["final_loss"] is None
+
     def test_bad_config_fails_before_writing(self, tmp_path, capsys):
         path = write_config(tmp_path, strategy={"kind": "scaffold"})  # adam default
         assert cli.main(["run", "--config", str(path)]) == 1
@@ -170,6 +178,21 @@ class TestCompareCommand:
         result = json.loads(report_path.read_text())
         finals = result["run_a"]["final_accuracy"], result["run_b"]["final_accuracy"]
         assert result["final_accuracy_delta"] == pytest.approx(finals[0] - finals[1])
+
+    def test_run_summary_is_compare_summary(self, tmp_path):
+        """compare's block for a run is run.json's summary without the wall
+        time, plus the path, with the keys in the same order."""
+        self.run_pair(tmp_path, seed_b=1)
+        report_path = tmp_path / "cmp.json"
+        assert cli.main(
+            ["compare", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(report_path)]
+        ) == 0
+        result = json.loads(report_path.read_text())
+        for side in ("a", "b"):
+            summary = json.loads((tmp_path / side / "run.json").read_text())["summary"]
+            del summary["duration_s"]
+            expected = {"path": str(tmp_path / side), **summary}
+            assert list(result[f"run_{side}"].items()) == list(expected.items())
 
     def test_missing_run_directory_fails(self, tmp_path, capsys):
         assert cli.main(["compare", str(tmp_path / "x"), str(tmp_path / "y")]) == 1

@@ -391,8 +391,8 @@ class TestLocalTrainReference:
 
 
 class TestFederationChecks:
-    """A RunConfig built in Python skips ``from_dict``'s key checks, so the
-    federation checks the setting that would otherwise fail late."""
+    """A RunConfig built in Python checks its own values, as ``from_dict``
+    does, so a bad setting fails by name before any federation exists."""
 
     @pytest.mark.parametrize("participation", [0.0, 1.5, float("nan")])
     def test_participation_outside_the_unit_interval_is_named(
