@@ -52,7 +52,9 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
         raise DegenerateLatent(norm=float(na))
     if nb < MIN_LATENT_NORM:
         raise DegenerateLatent(norm=float(nb))
-    return float(np.clip((a @ b) / (na * nb), -1.0, 1.0))
+    # np.dot of two vectors lets other threads run while BLAS works, where
+    # numpy's ``a @ b`` holds the interpreter lock; both give the same bits
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def similarity_matrix(latents, client_ids) -> np.ndarray:

@@ -13,6 +13,7 @@ import os
 import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +208,18 @@ def round_threads(param_count: int, participants: int) -> int:
     return max(1, min(participants, cores // blas))
 
 
+@contextmanager
+def _thread_map(threads: int):
+    """A ``map`` that runs its calls on ``threads`` threads, the builtin on
+    this thread for one.  Its results come in input order, and the first
+    failure in that order is raised."""
+    if threads == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        yield pool.map
+
+
 @dataclass
 class Federation:
     """The full simulation, as ``build`` makes it: the run's ``RunConfig``, whose
@@ -246,23 +259,25 @@ class Federation:
             self.workspaces.append(Workspace.create(self.spec, self.config.optimizer, rows))
         return self.workspaces[:count]
 
-    def _train_clients(self, participants: list[ClientState]) -> list[strategies.ClientUpdate]:
-        """Train the participants on ``round_threads`` threads; a client
-        takes whichever workspace is free.  This thread makes every update's
-        weight vector beforehand and waits while the threads train, so no
-        more threads run than ``round_threads`` allows.  The first failure
-        in participant order is raised, as in a serial round, and the
-        clients not yet started are then dropped."""
+    def _train_clients(
+        self, participants: list[ClientState], threads: int, run, latents: bool
+    ) -> tuple[list[strategies.ClientUpdate], list[np.ndarray] | None]:
+        """Train the participants through ``run``, a ``map`` over the round's
+        ``threads`` threads; a client takes whichever workspace is free.  This
+        thread makes every update's weight vector beforehand and waits while
+        the threads train.  With ``latents``, each thread then takes its
+        client's mean latent over the whole shard under the trained weights.
+        The first failure in participant order is raised, as in a serial
+        round, and the clients not yet started are then dropped."""
         server = self.server
-        spaces = self._workspaces(round_threads(self.spec.param_count(), len(participants)))
         idle = queue.SimpleQueue()
-        for workspace in spaces:
+        for workspace in self._workspaces(threads):
             idle.put(workspace)
 
-        def train(client: ClientState, out: np.ndarray) -> strategies.ClientUpdate:
+        def train(client: ClientState, out: np.ndarray):
             workspace = idle.get()
             try:
-                return local_train(
+                update = local_train(
                     self.spec,
                     self.train,
                     client,
@@ -276,63 +291,65 @@ class Federation:
                 )
             finally:
                 idle.put(workspace)
+            if not latents:
+                return update, None
+            shard = self.train.features[client.indices]
+            return update, nn.mean_latent(self.spec, update.weights, shard)
 
         outs = [np.empty_like(server.params) for _ in participants]
-        if len(spaces) == 1:
-            return list(map(train, participants, outs))
-        with ThreadPoolExecutor(len(spaces)) as pool:
-            return list(pool.map(train, participants, outs))
-
-    def _mean_latents(
-        self, participants: list[ClientState], updates: list[strategies.ClientUpdate]
-    ) -> list[np.ndarray]:
-        """Each participant's mean latent over its whole shard under its
-        trained weights, taken on this thread once every client has trained."""
-        latents = []
-        for client, update in zip(participants, updates):
-            shard = self.train.features[client.indices]
-            latents.append(nn.mean_latent(self.spec, update.weights, shard))
-        return latents
+        updates, means = zip(*run(train, participants, outs))
+        return list(updates), list(means) if latents else None
 
     def _weigh(
-        self, participants: list[ClientState], updates: list[strategies.ClientUpdate]
+        self, updates: list[strategies.ClientUpdate], latents: list[np.ndarray] | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The server's weighing step: the contribution factors λ, the
-        rule's importance weights ν and the aggregation weights u."""
+        rule's importance weights ν and the aggregation weights u, which the
+        mean ``latents`` rescale unless they are None."""
         nu = strategies.importance(updates)
-        # a lone participant has no similarity structure to exploit, so its
-        # latent is never taken
-        if not (self.config.normalize and len(updates) >= 2):
+        if latents is None:
             # the reported factor is the uniform value, matching what the
             # softmax yields for indistinguishable clients
             return np.full(len(updates), 1.0 - 1.0 / len(updates)), nu, nu
-        similarity = contribution.similarity_matrix(
-            self._mean_latents(participants, updates), [up.client_id for up in updates]
-        )
+        similarity = contribution.similarity_matrix(latents, [up.client_id for up in updates])
         lam = contribution.contribution_factors(similarity, self.config.temperature)
         return lam, nu, contribution.normalize_weights(lam, nu)
 
     def run_round(self) -> RoundReport:
         """Advance the federation by one round and report on it: sample,
         train, weigh, fold, compare each client with the new model, then
-        evaluate it once the client vectors are freed.  A fold that comes
-        out non-finite raises with the round's index in front."""
+        evaluate it once the client vectors are freed.  Training with the
+        mean latents, the fold's spans and the cosines run on the round's
+        threads; the evaluation runs on this one.  A fold that comes out
+        non-finite raises with the round's index in front."""
         start = time.perf_counter()
         server = self.server
         participants = self._sample_participants(server.round_index)
-        updates = self._train_clients(participants)
-        lam, nu, u = self._weigh(participants, updates)
-        try:
-            new_params = strategies.aggregate(server.params, updates, u, self.rule)
-        except nn.TrainingDiverged as exc:
-            raise nn.TrainingDiverged(f"round {server.round_index}: {exc}") from exc
+        threads = round_threads(self.spec.param_count(), len(participants))
+        # a lone participant has no similarity structure to exploit, so its
+        # latent is never taken
+        normalize = self.config.normalize and len(participants) >= 2
+        with _thread_map(threads) as run:
+            updates, latents = self._train_clients(participants, threads, run, normalize)
+            lam, nu, u = self._weigh(updates, latents)
+            try:
+                new_params = strategies.aggregate(server.params, updates, u, self.rule, threads, run)
+            except nn.TrainingDiverged as exc:
+                raise nn.TrainingDiverged(f"round {server.round_index}: {exc}") from exc
+            # one contiguous share of the clients per thread: the pool costs
+            # more per call than a cosine does
+            shares = run(
+                lambda share: [contribution.cosine(up.weights, new_params) for up in updates[share]],
+                strategies.cut(len(updates), threads),
+            )
+            cosines = [cosine for share in shares for cosine in share]
         metrics = [
             ClientRoundMetrics(
                 client_id=up.client_id,
                 lam=float(lam[i]),
                 nu=float(nu[i]),
                 u=float(u[i]),
-                cos_local_global=contribution.cosine(up.weights, new_params),
+                cos_local_global=cosines[i],
             )
             for i, up in enumerate(updates)
         ]

@@ -45,15 +45,35 @@ def importance(updates: list[ClientUpdate]) -> np.ndarray:
     return n / n.sum()
 
 
+def cut(size: int, count: int) -> list[slice]:
+    """``count`` contiguous slices that cover ``[0, size)`` in order, none
+    empty: fewer when there are fewer than ``count`` elements."""
+    count = max(1, min(count, size))
+    bounds = [size * i // count for i in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 def aggregate(
-    global_params: np.ndarray, updates: list[ClientUpdate], u: np.ndarray, rule: FedAvg
+    global_params: np.ndarray,
+    updates: list[ClientUpdate],
+    u: np.ndarray,
+    rule: FedAvg,
+    spans: int = 1,
+    run=map,
 ) -> np.ndarray:
     """Fold the client updates into a new global vector with ``rule``, which
-    updates its own server memory in place.  Non-finite output raises."""
+    updates its own server memory in place.  The vector is cut into
+    ``spans`` contiguous spans, and ``run``, a ``map`` that may call on
+    several threads at once, folds each one; every fold operation is
+    elementwise, so the cut changes no bit.  Weights off the simplex raise
+    before any span runs, non-finite output after all have."""
     if not updates:
         raise ValueError("cannot aggregate an empty update list")
     if len(u) != len(updates):
         raise ValueError(f"{len(u)} weights for {len(updates)} updates")
+    u = np.asarray(u, dtype=np.float64)
+    if not (np.isfinite(u).all() and (u >= 0.0).all()):
+        raise ValueError(f"aggregation weights must be finite and non-negative, got {u!r}")
     if abs(float(np.sum(u)) - 1.0) > 1e-9:
         raise ValueError(f"aggregation weights must sum to 1, got {np.sum(u)!r}")
     for up in updates:
@@ -62,10 +82,15 @@ def aggregate(
                 f"client {up.client_id} weight shape {up.weights.shape} "
                 f"does not match global {global_params.shape}"
             )
-    new = rule.fold(global_params, updates, np.asarray(u, dtype=np.float64))
+    new = np.empty_like(global_params)
+    list(run(rule.fold(global_params, updates, u, new), cut(len(new), spans)))
     if not np.isfinite(new).all():
         raise nn.TrainingDiverged(f"aggregation produced non-finite parameters ({rule.cfg.kind})")
     return new
+
+
+# one span's fold: writes out[span] and only the [span] part of the rule's memory
+FoldSpan = Callable[[slice], None]
 
 
 class FedAvg:
@@ -84,11 +109,23 @@ class FedAvg:
         return None
 
     def fold(self, global_params: np.ndarray, updates: list[ClientUpdate],
-             u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(updates[0].weights)
-        for weight, update in zip(u, updates):
-            out += weight * update.weights
-        return out
+             u: np.ndarray, out: np.ndarray) -> FoldSpan:
+        """The fold of one span of ``out``, the new global vector; a rule
+        checks what it needs of the round's inputs here, before any span
+        runs.  The spans of one fold are disjoint and may run on several
+        threads at once, so each touches only its own span of every vector
+        and allocates only span-sized scratch."""
+
+        def fold_span(span):
+            # begun at +0.0 and added client by client in order
+            total = out[span]
+            total.fill(0.0)
+            scaled = np.empty_like(total)
+            for weight, up in zip(u, updates):
+                np.multiply(up.weights[span], weight, out=scaled)
+                total += scaled
+
+        return fold_span
 
 
 class FedProx(FedAvg):
@@ -140,30 +177,40 @@ class Scaffold(FedAvg):
 
         return adjust
 
-    def fold(self, global_params, updates, u):
-        # client by client in O(P) scratch, with the bits of the matrix form
-        # c += (K/N) * deltas.mean(axis=0); c moves only after the loop
-        drift = np.zeros_like(global_params)
-        total = np.zeros_like(global_params)
-        delta = np.empty_like(global_params)
-        scaled = np.empty_like(global_params)
-        for weight, up in zip(u, updates):
-            np.subtract(global_params, up.weights, out=delta)
-            np.multiply(delta, weight, out=scaled)
-            drift += scaled
-            delta /= up.tau * self.lr
-            delta -= self.c
-            # begun at +0.0, the sum drops only the sign of a column of -0.0
-            # deltas, which needs c == +0.0 there: c's bits do not change
-            total += delta
-            c_r = self.variate(up.client_id)
-            c_r += delta
-        total /= len(updates)
-        total *= len(updates) / len(self.client_c)
-        self.c += total
-        # global_params - server_lr * drift, in drift's own buffer
-        drift *= self.cfg.server_lr
-        return np.subtract(global_params, drift, out=drift)
+    def fold(self, global_params, updates, u, out):
+        # every id is checked before any span writes a row
+        rows = [self.variate(up.client_id) for up in updates]
+        share = len(updates) / len(self.client_c)
+
+        def fold_span(span):
+            # client by client in O(span) scratch, with the bits of the matrix
+            # form c += (K/N) * deltas.mean(axis=0); c[span] moves only after
+            # the span's loop
+            g, c = global_params[span], self.c[span]
+            drift = out[span]
+            drift.fill(0.0)
+            total = np.zeros_like(drift)
+            delta = np.empty_like(drift)
+            scaled = np.empty_like(drift)
+            for weight, up, row in zip(u, updates, rows):
+                np.subtract(g, up.weights[span], out=delta)
+                np.multiply(delta, weight, out=scaled)
+                drift += scaled
+                delta /= up.tau * self.lr
+                delta -= c
+                # begun at +0.0, the sum drops only the sign of a column of -0.0
+                # deltas, which needs c == +0.0 there: c's bits do not change
+                total += delta
+                c_r = row[span]  # a view: ``row[span] +=`` would copy it back onto itself
+                c_r += delta
+            total /= len(updates)
+            total *= share
+            c += total
+            # global_params - server_lr * drift, in drift's own buffer
+            drift *= self.cfg.server_lr
+            np.subtract(g, drift, out=drift)
+
+        return fold_span
 
 
 class SGDM(FedAvg):
@@ -173,29 +220,52 @@ class SGDM(FedAvg):
         super().__init__(cfg, spec, params, num_clients, optimizer)
         self.momentum = np.zeros(len(params))
 
-    def fold(self, global_params, updates, u):
+    def fold(self, global_params, updates, u, out):
         cfg = self.cfg
-        avg = super().fold(global_params, updates, u)
-        delta = global_params - avg
-        m_prev = self.momentum
-        self.momentum = cfg.beta * m_prev + delta
-        # rearranged from g - lr*(beta*m + delta) so that beta=0, lr=1 lands
-        # bitwise on the plain weighted average
-        return avg + (1.0 - cfg.server_lr) * delta - (cfg.server_lr * cfg.beta) * m_prev
+        average = super().fold(global_params, updates, u, out)
+
+        def fold_span(span):
+            average(span)
+            avg, m = out[span], self.momentum[span]
+            delta = np.subtract(global_params[span], avg)
+            scaled = np.empty_like(delta)
+            # avg + (1 - lr)*delta - (lr*beta)*m_prev, rearranged from
+            # g - lr*(beta*m + delta) so that beta=0, lr=1 lands bitwise on the
+            # plain weighted average; then m = beta*m_prev + delta, in place
+            np.multiply(delta, 1.0 - cfg.server_lr, out=scaled)
+            avg += scaled
+            np.multiply(m, cfg.server_lr * cfg.beta, out=scaled)
+            avg -= scaled
+            m *= cfg.beta
+            m += delta
+
+        return fold_span
 
 
 class FedNova(FedAvg):
     """Step-count normalized averaging: each client's drift is divided by its tau."""
 
-    def fold(self, global_params, updates, u):
+    def fold(self, global_params, updates, u, out):
         taus = np.array([up.tau for up in updates], dtype=np.float64)
         if (taus <= 0).any():
             raise ValueError(f"client step counts must be positive, got {taus}")
         tau_eff = float(u @ taus)
-        direction = np.zeros_like(global_params)
-        for weight, up, tau in zip(u, updates, taus):
-            direction += weight * (global_params - up.weights) / tau
-        return global_params - tau_eff * direction
+
+        def fold_span(span):
+            # global_params - tau_eff * sum_r u_r * (global_params - w_r) / tau_r
+            g = global_params[span]
+            direction = out[span]
+            direction.fill(0.0)
+            step = np.empty_like(direction)
+            for weight, up, tau in zip(u, updates, taus):
+                np.subtract(g, up.weights[span], out=step)
+                step *= weight
+                step /= tau
+                direction += step
+            direction *= tau_eff
+            np.subtract(g, direction, out=direction)
+
+        return fold_span
 
 
 class FedBABU(FedAvg):
@@ -214,10 +284,16 @@ class FedBABU(FedAvg):
 
         return adjust
 
-    def fold(self, global_params, updates, u):
-        new = super().fold(global_params, updates, u)
-        new[self.head] = global_params[self.head]
-        return new
+    def fold(self, global_params, updates, u, out):
+        average = super().fold(global_params, updates, u, out)
+
+        def fold_span(span):
+            average(span)
+            # the part of the head inside the span
+            head = slice(max(self.head.start, span.start), min(self.head.stop, span.stop))
+            out[head] = global_params[head]
+
+        return fold_span
 
 
 RULES = {

@@ -41,6 +41,15 @@ class TestCosine:
             a = rng.normal(size=4) * 10.0 ** rng.integers(-6, 7)
             assert -1.0 <= co.cosine(a, 3.0 * a) <= 1.0
 
+    def test_bits_of_the_matmul_formula(self):
+        """The cosine is ``(a @ b) / (|a| |b|)`` bit for bit, at the lengths
+        of a mean latent and of a parameter vector."""
+        rng = np.random.default_rng(2)
+        for size in (1, 7, 256, 5514, 76_810):
+            a, b = rng.normal(size=size), rng.normal(size=size)
+            expected = (a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+            assert co.cosine(a, b) == float(np.clip(expected, -1.0, 1.0)), size
+
     def test_zero_vector_rejected(self):
         with pytest.raises(co.DegenerateLatent):
             co.cosine([0.0, 0.0], [1.0, 0.0])

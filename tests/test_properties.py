@@ -323,3 +323,71 @@ class TestScaffoldFold:
         for r, row in enumerate(client_c):
             expected = row + deltas[ids.index(r)] if r in ids else row
             assert_same_bits(rule.client_c[r], expected)
+
+
+@st.composite
+def span_rounds(draw):
+    """A round of any rule: a model of at least twelve parameters, 1-6 of up
+    to 9 clients with their taus, weights on the simplex (zeros included),
+    the rules' knobs and nonzero server memory, with exact zeros of both
+    signs among the values."""
+    spec = nn.ModelSpec(tuple(draw(st.lists(st.integers(2, 5), min_size=3, max_size=4))))
+    size = spec.param_count()
+    clients = draw(st.integers(1, 6))
+    total = clients + draw(st.integers(0, 3))
+    values = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])
+    global_params = draw(arrays(np.float64, size, elements=values))
+    weights = draw(arrays(np.float64, (clients, size), elements=values))
+    ids = draw(st.lists(st.integers(0, total - 1), min_size=clients, max_size=clients,
+                        unique=True))
+    taus = draw(st.lists(st.integers(1, 50), min_size=clients, max_size=clients))
+    raw = draw(
+        arrays(np.float64, clients, elements=st.just(0.0) | st.floats(0.01, 1.0))
+        .filter(lambda raw: raw.sum() > 0)
+    )
+    updates = [
+        strategies.ClientUpdate(r, weights[i], n=10, tau=taus[i]) for i, r in enumerate(ids)
+    ]
+    knobs = dict(
+        beta=draw(st.floats(0.0, 0.99)),
+        server_lr=draw(st.floats(0.1, 2.0)),
+        head_layer=draw(st.integers(-spec.num_layers, spec.num_layers - 1)),
+    )
+    memory = dict(
+        c=draw(arrays(np.float64, size, elements=values)),
+        client_c=draw(arrays(np.float64, (total, size), elements=values)),
+        momentum=draw(arrays(np.float64, size, elements=values)),
+    )
+    return spec, global_params, updates, raw / raw.sum(), knobs, memory
+
+
+class TestFoldSpans:
+    @deterministic
+    @given(case=span_rounds(), kind=st.sampled_from(strategies.STRATEGY_KINDS),
+           lr=st.floats(1e-3, 1.0))
+    def test_any_cut_gives_the_bits_of_one_span(self, case, kind, lr):
+        """``aggregate`` cut into 1, 2, 3 or 5 spans returns the vector, and
+        leaves the rule's memory, that one fold of the whole vector as a
+        single span gives, bit for bit."""
+        spec, global_params, updates, u, knobs, memory = case
+
+        def rule_with_memory():
+            cfg = config.StrategyConfig(kind=kind, **knobs)
+            optimizer = config.OptimizerSettings(kind="sgd", lr=lr)
+            rule = strategies.RULES[kind](
+                cfg, spec, global_params, len(memory["client_c"]), optimizer
+            )
+            for name, value in memory.items():
+                if hasattr(rule, name):
+                    getattr(rule, name)[:] = value
+            return rule
+
+        whole = rule_with_memory()
+        expected = np.full_like(global_params, np.nan)
+        whole.fold(global_params, updates, u, expected)(slice(0, len(expected)))
+        for spans in (1, 2, 3, 5):
+            rule = rule_with_memory()
+            assert_same_bits(strategies.aggregate(global_params, updates, u, rule, spans), expected)
+            for name in memory:
+                if hasattr(rule, name):
+                    assert_same_bits(getattr(rule, name), getattr(whole, name))

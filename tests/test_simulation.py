@@ -127,14 +127,14 @@ class TestLocalTrain:
         trains the same weights."""
         fed = build_federation(normalize=True, epochs=2, batch_size=16)
         client = fed.clients[1]
-        update = fed._train_clients([client])[0]
-        trained = update.weights.copy()
-        (z,) = fed._mean_latents([client], [update])
+        plain = build_federation(normalize=False, epochs=2, batch_size=16)
+        (plain_update,), no_latents = plain._train_clients([client], 1, map, False)
+        assert no_latents is None
+        trained = plain_update.weights
+        (update,), (z,) = fed._train_clients([client], 1, map, True)
         shard = fed.train.features[client.indices]
         assert_array_equal(z, nn.mean_latent(fed.spec, trained, shard))
         assert_array_equal(update.weights, trained)
-        plain = build_federation(normalize=False, epochs=2, batch_size=16)
-        assert_array_equal(plain._train_clients([client])[0].weights, trained)
 
     def test_shuffle_depends_on_round(self):
         ds = data.generate_synthetic(2, 3, 20, 3.0, seed=0)
@@ -322,7 +322,7 @@ class TestLocalTrainReference:
     )
     def test_matches_reference_bitwise(self, strategy, kind, lr, activation, wide):
         """Through ``Federation._train_clients`` of a normalizing server,
-        whose ``_mean_latents`` then takes the client's mean latent."""
+        which also takes the client's mean latent."""
         ds, spec, params, client = self.setup(activation, wide)
         rng = np.random.default_rng(33)
         config = cfg.RunConfig(
@@ -345,7 +345,7 @@ class TestLocalTrainReference:
         if strategy.kind == "fedbabu":
             formulas = dict(freeze=spec.layer_span(strategy.head_layer))
         broadcast = params.copy()
-        update = fed._train_clients([client])[0]
+        (update,), (latent,) = fed._train_clients([client], 1, map, True)
         # two epochs of 100 samples in batches of 16: the last batch has 4 rows
         weights, tau, z = reference_local_train(
             spec, ds, client, params, kind=kind, lr=lr, epochs=2, batch_size=16,
@@ -354,7 +354,7 @@ class TestLocalTrainReference:
         assert_array_equal(params, broadcast)  # the broadcast vector is left as it was
         assert update.tau == tau == 14
         assert_array_equal(update.weights, weights)
-        assert_array_equal(fed._mean_latents([client], [update])[0], z)
+        assert_array_equal(latent, z)
         assert not np.array_equal(update.weights, params)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -485,7 +485,7 @@ class TestRunRound:
         fed = build_federation()
         fed.run(2)
         monkeypatch.setattr(
-            fed.rule, "fold", lambda global_params, updates, u: np.full_like(global_params, np.nan)
+            fed.rule, "fold", lambda global_params, updates, u, out: lambda span: out.fill(np.nan)
         )
         with pytest.raises(
             nn.TrainingDiverged,
@@ -526,6 +526,38 @@ class TestRunRound:
             tracemalloc.stop()
         assert len(report.clients) == 20
         assert held[-1] - base < 2 * vector
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_server_work_runs_on_the_rounds_threads(self, build_federation, monkeypatch, threads):
+        """The mean latents, the fold's spans and the cosines run on the
+        round's threads: on two, none of them runs on the federation's
+        thread; on one, all of them do."""
+        calls = {"latent": [], "fold": [], "cosine": []}
+
+        def recorded(name, function):
+            def call(*args):
+                calls[name].append(threading.get_ident())
+                return function(*args)
+
+            return call
+
+        monkeypatch.setattr(nn, "mean_latent", recorded("latent", nn.mean_latent))
+        monkeypatch.setattr(contribution, "cosine", recorded("cosine", contribution.cosine))
+        force_threads(monkeypatch, threads)
+        fed = build_federation(normalize=True, num_clients=6, hidden_sizes=(256, 256))
+        assert fed.spec.param_count() >= simulation.THREAD_MIN_PARAMS
+        fold = fed.rule.fold
+        monkeypatch.setattr(fed.rule, "fold", lambda *args: recorded("fold", fold(*args)))
+        fed.run_round()
+        assert {name: len(idents) for name, idents in calls.items()} == {
+            "latent": 6, "fold": threads, "cosine": 6,
+        }
+        federation_thread = threading.get_ident()
+        for name, idents in calls.items():
+            if threads == 1:
+                assert set(idents) == {federation_thread}, name
+            else:
+                assert federation_thread not in idents, name
 
     def test_normalization_off_reports_importance_as_final(self, build_federation):
         fed = build_federation(normalize=False)

@@ -432,6 +432,19 @@ class TestAggregate:
                 np.zeros(2), updates, np.array([0.9, 0.4]), fresh_rule(cfg, None, np.zeros(2))
             )
 
+    @pytest.mark.parametrize(
+        "u", [[1.5, -0.5], [np.nan, 0.5], [np.inf, 0.0], [-0.0, 1.0 + 1e-12, -1e-12]],
+        ids=["extrapolating", "nan", "inf", "tiny-negative"],
+    )
+    def test_rejects_weights_off_the_simplex(self, u):
+        """A negative or non-finite weight is refused by name before the
+        fold, so neither the result nor the rule's memory moves."""
+        updates = [make_update(r, np.full(2, (-1.0) ** r), tau=2) for r in range(len(u))]
+        rule = fresh_rule(config.StrategyConfig(kind="scaffold"), None, np.zeros(2), len(u))
+        with pytest.raises(ValueError, match=r"weights must be finite and non-negative, got array\("):
+            strategies.aggregate(np.zeros(2), updates, np.array(u), rule)
+        assert not bits(rule.c).any() and not bits(rule.client_c).any()
+
     def test_rejects_non_finite_result(self):
         cfg = config.StrategyConfig()
         updates = [make_update(0, [np.inf, 1.0]), make_update(1, [0.0, 0.0])]
@@ -496,9 +509,10 @@ class TestScaffoldVariates:
 
 
 class TestFoldMemory:
-    # parameter vectors a fold may allocate at its peak; scaffold's four O(P)
-    # buffers include the one it returns, and it reaches 4.03
-    VECTORS = {"scaffold": 4.25}
+    # parameter vectors a fold may allocate at its peak, the one it returns
+    # included: scaffold's four O(P) buffers reach 4.06, sgdm's three 3.04
+    # and fednova's two 2.06
+    VECTORS = {"scaffold": 4.25, "sgdm": 3.25, "fednova": 2.25}
 
     @pytest.mark.parametrize("kind", strategies.STRATEGY_KINDS)
     def test_fold_scratch_is_a_few_parameter_vectors(self, kind):
