@@ -82,9 +82,6 @@ class PartitionPlan:
     def num_clients(self) -> int:
         return len(self.assignments)
 
-    def sizes(self) -> list[int]:
-        return [len(a) for a in self.assignments]
-
 
 def generate_synthetic(
     classes: int, dims: int, per_class: int, spread: float, seed: int

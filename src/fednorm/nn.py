@@ -84,14 +84,6 @@ class ModelSpec:
         return self.layer_sizes[0]
 
     @property
-    def latent_dim(self) -> int:
-        return self.layer_sizes[-2]
-
-    @property
-    def class_count(self) -> int:
-        return self.layer_sizes[-1]
-
-    @property
     def num_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
@@ -180,7 +172,7 @@ def _forward_cached(spec, params, x, *, latent_only=False):
 def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     """Run the network on a batch.
 
-    Returns ``(logits, latent)`` with shapes (N, classes) and (N, latent_dim);
+    Returns ``(logits, latent)`` with shapes (N, classes) and (N, layer_sizes[-2]);
     ``latent`` is the post-activation output of the last hidden layer.
     """
     params = _check_params(spec, params)

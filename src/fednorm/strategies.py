@@ -65,8 +65,9 @@ def aggregate(
     updates its own server memory in place.  The vector is cut into
     ``spans`` contiguous spans, and ``run``, a ``map`` that may call on
     several threads at once, folds each one; every fold operation is
-    elementwise, so the cut changes no bit.  Weights off the simplex raise
-    before any span runs, non-finite output after all have."""
+    elementwise, so the cut changes no bit.  Weights off the simplex and
+    step counts that are not positive raise before any span runs, non-finite
+    output after all have."""
     if not updates:
         raise ValueError("cannot aggregate an empty update list")
     if len(u) != len(updates):
@@ -82,15 +83,13 @@ def aggregate(
                 f"client {up.client_id} weight shape {up.weights.shape} "
                 f"does not match global {global_params.shape}"
             )
+        if up.tau <= 0:
+            raise ValueError(f"client {up.client_id} step count must be positive, got {up.tau}")
     new = np.empty_like(global_params)
-    list(run(rule.fold(global_params, updates, u, new), cut(len(new), spans)))
+    list(run(lambda span: rule.fold(span, global_params, updates, u, new), cut(len(new), spans)))
     if not np.isfinite(new).all():
         raise nn.TrainingDiverged(f"aggregation produced non-finite parameters ({rule.cfg.kind})")
     return new
-
-
-# one span's fold: writes out[span] and only the [span] part of the rule's memory
-FoldSpan = Callable[[slice], None]
 
 
 class FedAvg:
@@ -108,24 +107,20 @@ class FedAvg:
     def hooks(self, global_params: np.ndarray, client_id: int) -> Adjust | None:
         return None
 
-    def fold(self, global_params: np.ndarray, updates: list[ClientUpdate],
-             u: np.ndarray, out: np.ndarray) -> FoldSpan:
-        """The fold of one span of ``out``, the new global vector; a rule
-        checks what it needs of the round's inputs here, before any span
-        runs.  The spans of one fold are disjoint and may run on several
-        threads at once, so each touches only its own span of every vector
-        and allocates only span-sized scratch."""
-
-        def fold_span(span):
-            # begun at +0.0 and added client by client in order
-            total = out[span]
-            total.fill(0.0)
-            scaled = np.empty_like(total)
-            for weight, up in zip(u, updates):
-                np.multiply(up.weights[span], weight, out=scaled)
-                total += scaled
-
-        return fold_span
+    def fold(self, span: slice, global_params: np.ndarray, updates: list[ClientUpdate],
+             u: np.ndarray, out: np.ndarray) -> None:
+        """Write ``out[span]``, one span of the new global vector.  The spans
+        of one fold are disjoint and may run on several threads at once, so
+        each touches only its own span of every vector, allocates only
+        span-sized scratch, and checks what it needs of the round's inputs
+        before it writes anything."""
+        # begun at +0.0 and added client by client in order
+        total = out[span]
+        total.fill(0.0)
+        scaled = np.empty_like(total)
+        for weight, up in zip(u, updates):
+            np.multiply(up.weights[span], weight, out=scaled)
+            total += scaled
 
 
 class FedProx(FedAvg):
@@ -177,40 +172,35 @@ class Scaffold(FedAvg):
 
         return adjust
 
-    def fold(self, global_params, updates, u, out):
-        # every id is checked before any span writes a row
+    def fold(self, span, global_params, updates, u, out):
+        # every span checks every id before it writes, so a bad id moves no row
         rows = [self.variate(up.client_id) for up in updates]
-        share = len(updates) / len(self.client_c)
-
-        def fold_span(span):
-            # client by client in O(span) scratch, with the bits of the matrix
-            # form c += (K/N) * deltas.mean(axis=0); c[span] moves only after
-            # the span's loop
-            g, c = global_params[span], self.c[span]
-            drift = out[span]
-            drift.fill(0.0)
-            total = np.zeros_like(drift)
-            delta = np.empty_like(drift)
-            scaled = np.empty_like(drift)
-            for weight, up, row in zip(u, updates, rows):
-                np.subtract(g, up.weights[span], out=delta)
-                np.multiply(delta, weight, out=scaled)
-                drift += scaled
-                delta /= up.tau * self.lr
-                delta -= c
-                # begun at +0.0, the sum drops only the sign of a column of -0.0
-                # deltas, which needs c == +0.0 there: c's bits do not change
-                total += delta
-                c_r = row[span]  # a view: ``row[span] +=`` would copy it back onto itself
-                c_r += delta
-            total /= len(updates)
-            total *= share
-            c += total
-            # global_params - server_lr * drift, in drift's own buffer
-            drift *= self.cfg.server_lr
-            np.subtract(g, drift, out=drift)
-
-        return fold_span
+        # client by client in O(span) scratch, with the bits of the matrix
+        # form c += (K/N) * deltas.mean(axis=0); c[span] moves only after
+        # the span's loop
+        g, c = global_params[span], self.c[span]
+        drift = out[span]
+        drift.fill(0.0)
+        total = np.zeros_like(drift)
+        delta = np.empty_like(drift)
+        scaled = np.empty_like(drift)
+        for weight, up, row in zip(u, updates, rows):
+            np.subtract(g, up.weights[span], out=delta)
+            np.multiply(delta, weight, out=scaled)
+            drift += scaled
+            delta /= up.tau * self.lr
+            delta -= c
+            # begun at +0.0, the sum drops only the sign of a column of -0.0
+            # deltas, which needs c == +0.0 there: c's bits do not change
+            total += delta
+            c_r = row[span]  # a view: ``row[span] +=`` would copy it back onto itself
+            c_r += delta
+        total /= len(updates)
+        total *= len(updates) / len(self.client_c)
+        c += total
+        # global_params - server_lr * drift, in drift's own buffer
+        drift *= self.cfg.server_lr
+        np.subtract(g, drift, out=drift)
 
 
 class SGDM(FedAvg):
@@ -220,52 +210,40 @@ class SGDM(FedAvg):
         super().__init__(cfg, spec, params, num_clients, optimizer)
         self.momentum = np.zeros(len(params))
 
-    def fold(self, global_params, updates, u, out):
+    def fold(self, span, global_params, updates, u, out):
         cfg = self.cfg
-        average = super().fold(global_params, updates, u, out)
-
-        def fold_span(span):
-            average(span)
-            avg, m = out[span], self.momentum[span]
-            delta = np.subtract(global_params[span], avg)
-            scaled = np.empty_like(delta)
-            # avg + (1 - lr)*delta - (lr*beta)*m_prev, rearranged from
-            # g - lr*(beta*m + delta) so that beta=0, lr=1 lands bitwise on the
-            # plain weighted average; then m = beta*m_prev + delta, in place
-            np.multiply(delta, 1.0 - cfg.server_lr, out=scaled)
-            avg += scaled
-            np.multiply(m, cfg.server_lr * cfg.beta, out=scaled)
-            avg -= scaled
-            m *= cfg.beta
-            m += delta
-
-        return fold_span
+        super().fold(span, global_params, updates, u, out)
+        avg, m = out[span], self.momentum[span]
+        delta = np.subtract(global_params[span], avg)
+        scaled = np.empty_like(delta)
+        # avg + (1 - lr)*delta - (lr*beta)*m_prev, rearranged from
+        # g - lr*(beta*m + delta) so that beta=0, lr=1 lands bitwise on the
+        # plain weighted average; then m = beta*m_prev + delta, in place
+        np.multiply(delta, 1.0 - cfg.server_lr, out=scaled)
+        avg += scaled
+        np.multiply(m, cfg.server_lr * cfg.beta, out=scaled)
+        avg -= scaled
+        m *= cfg.beta
+        m += delta
 
 
 class FedNova(FedAvg):
     """Step-count normalized averaging: each client's drift is divided by its tau."""
 
-    def fold(self, global_params, updates, u, out):
+    def fold(self, span, global_params, updates, u, out):
+        # global_params - tau_eff * sum_r u_r * (global_params - w_r) / tau_r
         taus = np.array([up.tau for up in updates], dtype=np.float64)
-        if (taus <= 0).any():
-            raise ValueError(f"client step counts must be positive, got {taus}")
-        tau_eff = float(u @ taus)
-
-        def fold_span(span):
-            # global_params - tau_eff * sum_r u_r * (global_params - w_r) / tau_r
-            g = global_params[span]
-            direction = out[span]
-            direction.fill(0.0)
-            step = np.empty_like(direction)
-            for weight, up, tau in zip(u, updates, taus):
-                np.subtract(g, up.weights[span], out=step)
-                step *= weight
-                step /= tau
-                direction += step
-            direction *= tau_eff
-            np.subtract(g, direction, out=direction)
-
-        return fold_span
+        g = global_params[span]
+        direction = out[span]
+        direction.fill(0.0)
+        step = np.empty_like(direction)
+        for weight, up, tau in zip(u, updates, taus):
+            np.subtract(g, up.weights[span], out=step)
+            step *= weight
+            step /= tau
+            direction += step
+        direction *= float(u @ taus)
+        np.subtract(g, direction, out=direction)
 
 
 class FedBABU(FedAvg):
@@ -284,16 +262,11 @@ class FedBABU(FedAvg):
 
         return adjust
 
-    def fold(self, global_params, updates, u, out):
-        average = super().fold(global_params, updates, u, out)
-
-        def fold_span(span):
-            average(span)
-            # the part of the head inside the span
-            head = slice(max(self.head.start, span.start), min(self.head.stop, span.stop))
-            out[head] = global_params[head]
-
-        return fold_span
+    def fold(self, span, global_params, updates, u, out):
+        super().fold(span, global_params, updates, u, out)
+        # the part of the head inside the span
+        head = slice(max(self.head.start, span.start), min(self.head.stop, span.stop))
+        out[head] = global_params[head]
 
 
 RULES = {

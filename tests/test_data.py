@@ -186,7 +186,7 @@ class TestDirichletPartition:
             merged = np.concatenate(plan.assignments)
             assert len(np.unique(merged)) == len(merged)
             assert merged.min() >= 0 and merged.max() < len(ds)
-            assert min(plan.sizes()) >= cfg["min_samples"]
+            assert min(len(a) for a in plan.assignments) >= cfg["min_samples"]
 
     def test_deterministic(self):
         ds = balanced_dataset()

@@ -48,8 +48,6 @@ class TestModelSpec:
     def test_dimension_properties(self):
         spec = nn.ModelSpec((7, 32, 16, 5))
         assert spec.input_dim == 7
-        assert spec.latent_dim == 16
-        assert spec.class_count == 5
         assert spec.num_layers == 3
 
     def test_slices_tile_the_vector(self):

@@ -384,7 +384,7 @@ class TestFoldSpans:
 
         whole = rule_with_memory()
         expected = np.full_like(global_params, np.nan)
-        whole.fold(global_params, updates, u, expected)(slice(0, len(expected)))
+        whole.fold(slice(0, len(expected)), global_params, updates, u, expected)
         for spans in (1, 2, 3, 5):
             rule = rule_with_memory()
             assert_same_bits(strategies.aggregate(global_params, updates, u, rule, spans), expected)

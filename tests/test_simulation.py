@@ -485,7 +485,7 @@ class TestRunRound:
         fed = build_federation()
         fed.run(2)
         monkeypatch.setattr(
-            fed.rule, "fold", lambda global_params, updates, u, out: lambda span: out.fill(np.nan)
+            fed.rule, "fold", lambda span, global_params, updates, u, out: out[span].fill(np.nan)
         )
         with pytest.raises(
             nn.TrainingDiverged,
@@ -546,8 +546,7 @@ class TestRunRound:
         force_threads(monkeypatch, threads)
         fed = build_federation(normalize=True, num_clients=6, hidden_sizes=(256, 256))
         assert fed.spec.param_count() >= simulation.THREAD_MIN_PARAMS
-        fold = fed.rule.fold
-        monkeypatch.setattr(fed.rule, "fold", lambda *args: recorded("fold", fold(*args)))
+        monkeypatch.setattr(fed.rule, "fold", recorded("fold", fed.rule.fold))
         fed.run_round()
         assert {name: len(idents) for name, idents in calls.items()} == {
             "latent": 6, "fold": threads, "cosine": 6,

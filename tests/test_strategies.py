@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -445,6 +446,27 @@ class TestAggregate:
             strategies.aggregate(np.zeros(2), updates, np.array(u), rule)
         assert not bits(rule.c).any() and not bits(rule.client_c).any()
 
+    @pytest.mark.parametrize("tau", [0, -1])
+    @pytest.mark.parametrize("kind", strategies.STRATEGY_KINDS)
+    def test_rejects_a_step_count_that_is_not_positive(self, kind, tau):
+        """Every rule refuses the update by name before the fold, so neither
+        the result nor the rule's memory moves: a scaffold variate would
+        otherwise divide by a zero or negative step count."""
+        rng = np.random.default_rng(41)
+        spec = nn.ModelSpec((2, 3, 2))
+        size = spec.param_count()
+        updates = random_updates(rng, 3, size)
+        updates[1].tau = tau
+        rule = fresh_rule(config.StrategyConfig(kind=kind), spec, rng.normal(size=size), 3)
+        memory = [name for name in ("c", "client_c", "momentum") if hasattr(rule, name)]
+        for name in memory:
+            getattr(rule, name)[:] = rng.normal(size=getattr(rule, name).shape)
+        before = {name: getattr(rule, name).copy() for name in memory}
+        with pytest.raises(ValueError, match=rf"^client 1 step count must be positive, got {tau}$"):
+            strategies.aggregate(rng.normal(size=size), updates, np.full(3, 1 / 3), rule, 2)
+        for name in memory:
+            assert_array_equal(bits(getattr(rule, name)), bits(before[name]), err_msg=name)
+
     def test_rejects_non_finite_result(self):
         cfg = config.StrategyConfig()
         updates = [make_update(0, [np.inf, 1.0]), make_update(1, [0.0, 0.0])]
@@ -470,10 +492,10 @@ class TestScaffoldVariates:
         cfg = config.StrategyConfig(kind="scaffold")
         self.rule = fresh_rule(cfg, None, self.params, self.CLIENTS)
 
-    def fold(self, *client_ids):
+    def fold(self, *client_ids, spans=1, run=map):
         updates = [make_update(r, self.rng.normal(size=self.SIZE)) for r in client_ids]
         u = np.full(len(updates), 1.0 / len(updates))
-        return strategies.aggregate(self.params, updates, u, self.rule)
+        return strategies.aggregate(self.params, updates, u, self.rule, spans, run)
 
     def test_rows_read_positive_zero_until_their_first_fold(self):
         assert self.rule.client_c.shape == (self.CLIENTS, self.SIZE)
@@ -501,11 +523,16 @@ class TestScaffoldVariates:
 
     @pytest.mark.parametrize("client_id", [-1, -CLIENTS, CLIENTS, CLIENTS + 1])
     def test_an_id_outside_the_block_raises_and_never_wraps(self, client_id):
+        """A bad id between two good ones raises on every span, on three
+        threads, before any span moves a row of ``client_c`` or ``c``."""
         with pytest.raises(IndexError, match=rf"client {client_id} outside \[0, 5\)"):
             self.rule.hooks(self.params, client_id)
-        with pytest.raises(IndexError, match=rf"client {client_id} outside \[0, 5\)"):
-            self.fold(client_id)
-        assert not bits(self.rule.client_c).any()
+        for spans in (1, 3):
+            with ThreadPoolExecutor(3) as pool:
+                with pytest.raises(IndexError, match=rf"client {client_id} outside \[0, 5\)"):
+                    self.fold(1, client_id, 3, spans=spans, run=pool.map)
+            assert not bits(self.rule.client_c).any(), spans
+            assert not bits(self.rule.c).any(), spans
 
 
 class TestFoldMemory:
