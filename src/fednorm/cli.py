@@ -2,9 +2,10 @@
 
 ``run`` executes a JSON-configured experiment, streaming one metrics.csv row
 per participating client per round plus a client_id=-1 summary row, and writes
-run.json only after the whole run succeeded; an earlier run's run.json is
-removed first.  ``compare`` reads two such output directories and reports
-accuracy deltas and rounds-to-target.
+run.json only after the whole run succeeded.  A run whose set-up fails leaves
+the output directory as it was; once set-up succeeds, an earlier run's
+run.json is removed before the first round.  ``compare`` reads two such output
+directories and reports accuracy deltas and rounds-to-target.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _bool_flag(text: str) -> bool:
+    """``config.parse_bool_flag`` as an argparse type, so that its message,
+    not the function's name, reaches the user."""
+    try:
+        return config_mod.parse_bool_flag(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fednorm",
@@ -46,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, metavar="PATH", help="JSON run configuration")
     run.add_argument("--strategy", choices=STRATEGY_KINDS, help="override strategy.kind")
     run.add_argument(
-        "--normalize", type=config_mod.parse_bool_flag, metavar="BOOL",
+        "--normalize", type=_bool_flag, metavar="BOOL",
         help="toggle contribution normalization",
     )
     run.add_argument("--temperature", type=float, metavar="REAL", help="softmax temperature")
@@ -75,11 +85,13 @@ def _summary(accuracies: list[float], losses: list[float]) -> dict:
 
 def cmd_run(args) -> int:
     cfg = config_mod.load(args.config, args)
+    started = time.perf_counter()
+    # a set-up error must leave the output directory, and an earlier run in it, as it was
+    federation = simulation.build(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     # an earlier run's summary must not sit beside this run's metrics if it fails
     (outdir / "run.json").unlink(missing_ok=True)
-    started = time.perf_counter()
     with open(outdir / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -100,7 +112,7 @@ def cmd_run(args) -> int:
                 f"loss={report.loss:.4f} clients={len(report.clients)}"
             )
 
-        reports = simulation.build(cfg).run(cfg.rounds, on_report)
+        reports = federation.run(cfg.rounds, on_report)
 
     summary = {
         **_summary([r.accuracy for r in reports], [r.loss for r in reports]),

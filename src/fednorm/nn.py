@@ -14,7 +14,7 @@ linear output head) is exposed as the "latent" representation of a batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -35,21 +35,25 @@ class TrainingDiverged(RuntimeError):
     """A loss or parameter vector became non-finite; the run cannot continue."""
 
 
+class Layer(NamedTuple):
+    weights: slice  # W_l's entries in the flat vector, row-major
+    bias: slice  # b_l's entries, right after W_l's
+    shape: tuple[int, int]  # (fan_in, fan_out) of W_l
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture of the perceptron: input dim, hidden widths, class count.
 
     ``layer_sizes`` must have at least three entries; the second-to-last entry
-    is the latent dimension.  The flat-vector layout (layer shapes, slices and
-    the parameter count) is derived once at construction, since the training
-    loop asks for it on every step.
+    is the latent dimension.  ``layers`` holds one ``Layer`` per linear layer,
+    in layout order, the last being the output head; it is derived once at
+    construction, since the training loop reads it on every step.
     """
 
     layer_sizes: tuple[int, ...]
     activation: str = "relu"
-    _shapes: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    _slices: tuple[tuple[slice, slice], ...] = field(init=False, repr=False, compare=False)
-    _count: int = field(init=False, repr=False, compare=False)
+    layers: tuple[Layer, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for s in self.layer_sizes:
@@ -67,17 +71,14 @@ class ModelSpec:
             raise ValueError(
                 f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
             )
-        shapes = tuple(zip(sizes[:-1], sizes[1:]))
-        slices = []
+        layers = []
         offset = 0
-        for fan_in, fan_out in shapes:
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             w = slice(offset, offset + fan_in * fan_out)
             b = slice(w.stop, w.stop + fan_out)
-            slices.append((w, b))
+            layers.append(Layer(w, b, (fan_in, fan_out)))
             offset = b.stop
-        object.__setattr__(self, "_shapes", shapes)
-        object.__setattr__(self, "_slices", tuple(slices))
-        object.__setattr__(self, "_count", offset)
+        object.__setattr__(self, "layers", tuple(layers))
 
     @property
     def input_dim(self) -> int:
@@ -85,15 +86,7 @@ class ModelSpec:
 
     @property
     def num_layers(self) -> int:
-        return len(self.layer_sizes) - 1
-
-    def layer_shapes(self) -> tuple[tuple[int, int], ...]:
-        """(fan_in, fan_out) of each layer's weight matrix."""
-        return self._shapes
-
-    def layer_slices(self) -> tuple[tuple[slice, slice], ...]:
-        """Weight and bias slice into the flat vector, per layer."""
-        return self._slices
+        return len(self.layers)
 
     def layer_span(self, layer: int) -> slice:
         """Contiguous slice covering both W and b of one layer; negative
@@ -102,18 +95,18 @@ class ModelSpec:
             raise ValueError(
                 f"layer {layer} is out of range for a {self.num_layers}-layer model"
             )
-        w, b = self._slices[layer]
+        w, b, _ = self.layers[layer]
         return slice(w.start, b.stop)
 
     def param_count(self) -> int:
-        return self._count
+        return self.layers[-1].bias.stop
 
 
 def init_model(spec: ModelSpec, seed: int) -> np.ndarray:
     """Glorot-uniform weights, zero biases; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     params = np.zeros(spec.param_count(), dtype=np.float64)
-    for (w_sl, _), (fan_in, fan_out) in zip(spec.layer_slices(), spec.layer_shapes()):
+    for w_sl, _, (fan_in, fan_out) in spec.layers:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         params[w_sl] = rng.uniform(-limit, limit, size=fan_in * fan_out)
     return params
@@ -157,16 +150,16 @@ def _forward_cached(spec, params, x, *, latent_only=False):
     acts[-1] is the latent; ``latent_only`` skips the output layer and
     returns None for the logits."""
     acts = [x]
-    last = spec.num_layers - 1
-    for l, ((w_sl, b_sl), shape) in enumerate(zip(spec.layer_slices(), spec.layer_shapes())):
-        if l == last and latent_only:
-            return None, acts
-        z = acts[l] @ params[w_sl].reshape(shape)
+    *hidden, head = spec.layers
+    for w_sl, b_sl, shape in hidden:
+        z = acts[-1] @ params[w_sl].reshape(shape)
         z += params[b_sl]
-        if l == last:
-            return z, acts
         acts.append(_activate(z, spec.activation))
-    raise AssertionError("unreachable")
+    if latent_only:
+        return None, acts
+    logits = acts[-1] @ params[head.weights].reshape(head.shape)
+    logits += params[head.bias]
+    return logits, acts
 
 
 def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
@@ -226,14 +219,12 @@ def loss_and_grad(spec, params, x, y, *, out=None):
     delta[rows, y] -= 1.0
     delta /= n
 
-    slices = spec.layer_slices()
-    shapes = spec.layer_shapes()
     for l in range(spec.num_layers - 1, -1, -1):
-        w_sl, b_sl = slices[l]
-        np.matmul(acts[l].T, delta, out=grad[w_sl].reshape(shapes[l]))
+        w_sl, b_sl, shape = spec.layers[l]
+        np.matmul(acts[l].T, delta, out=grad[w_sl].reshape(shape))
         delta.sum(axis=0, out=grad[b_sl])
         if l > 0:
-            delta = delta @ params[w_sl].reshape(shapes[l]).T
+            delta = delta @ params[w_sl].reshape(shape).T
             delta *= _activation_grad(acts[l], spec.activation)
 
     if not np.isfinite(loss):

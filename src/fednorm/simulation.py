@@ -238,6 +238,8 @@ class Federation:
     workspaces: list[Workspace] = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
+        if not self.clients:
+            raise ValueError("a federation needs at least one client")
         config = self.config
         self.spec = model_spec(config, self.train)
         self.rule = strategies.RULES[config.strategy.kind](

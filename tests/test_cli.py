@@ -113,6 +113,31 @@ class TestRunCommand:
         assert "diverged" in capsys.readouterr().err
         assert not (tmp_path / "out" / "run.json").exists()
 
+    @pytest.mark.parametrize("cause", ["missing-idx-file", "unmeetable-partition"])
+    def test_failed_setup_leaves_the_output_directory_as_it_was(self, tmp_path, capsys, cause):
+        """Set-up runs before the output directory is touched, so an earlier
+        run in it keeps both its files and a fresh directory gets nothing."""
+        assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 0
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["metrics.csv", "run.json"]
+        if cause == "missing-idx-file":
+            overrides = {"dataset": {"kind": "idx", "images": str(tmp_path / "no-images"),
+                                     "labels": str(tmp_path / "no-labels")}}
+            message = "error: [Errno 2] No such file or directory"
+        else:
+            overrides = {"partition": {"kind": "dirichlet", "alpha": 0.01,
+                                       "min_samples": 4, "max_redraws": 0}}
+            message = "error: no draw satisfied min_samples=4"
+        failing = write_config(tmp_path, name="failing.json", **overrides)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(failing)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        fresh = tmp_path / "fresh"
+        assert cli.main(["run", "--config", str(failing), "--out", str(fresh)]) == 1
+        assert not fresh.exists()
+
     def test_non_finite_number_fails_before_writing(self, tmp_path, capsys):
         path = write_config(tmp_path)
         path.write_text(path.read_text().replace('"epochs": 1', '"test_fraction": NaN'))
@@ -143,6 +168,14 @@ class TestRunCommand:
         path = write_config(tmp_path)
         with pytest.raises(SystemExit):
             cli.main(["run", "--config", str(path), "--strategy", "fedsgd"])
+
+    def test_bad_normalize_flag_gets_the_configs_message(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--config", str(path), "--normalize", "maybe"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --normalize: expected a boolean flag value, got 'maybe'" in err
 
 
 class TestCompareCommand:

@@ -51,9 +51,15 @@ class TestModelSpec:
         assert spec.num_layers == 3
 
     def test_slices_tile_the_vector(self):
-        spec = nn.ModelSpec((4, 9, 6, 3))
+        sizes = (4, 9, 6, 3)
+        spec = nn.ModelSpec(sizes)
+        assert len(spec.layers) == len(sizes) - 1
         cursor = 0
-        for w, b in spec.layer_slices():
+        for l, (w, b, shape) in enumerate(spec.layers):
+            fan_in, fan_out = sizes[l], sizes[l + 1]
+            assert shape == (fan_in, fan_out)
+            assert w.stop - w.start == fan_in * fan_out
+            assert b.stop - b.start == fan_out
             assert w.start == cursor
             assert b.start == w.stop
             cursor = b.stop
@@ -62,7 +68,7 @@ class TestModelSpec:
     def test_layer_span_covers_weight_and_bias(self):
         spec = nn.ModelSpec((4, 9, 3))
         span = spec.layer_span(1)
-        w, b = spec.layer_slices()[1]
+        w, b, _ = spec.layers[1]
         assert span.start == w.start and span.stop == b.stop
 
     def test_layer_span_counts_from_the_back_and_rejects_out_of_range(self):
@@ -105,7 +111,7 @@ class TestInitModel:
     def test_biases_zero_weights_bounded(self):
         spec = nn.ModelSpec((6, 10, 4, 3))
         params = nn.init_model(spec, 0)
-        for (w_sl, b_sl), (fan_in, fan_out) in zip(spec.layer_slices(), spec.layer_shapes()):
+        for w_sl, b_sl, (fan_in, fan_out) in spec.layers:
             assert_array_equal(params[b_sl], 0.0)
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             assert np.abs(params[w_sl]).max() <= limit
@@ -169,7 +175,7 @@ class TestLossAndGrad:
         y = np.arange(40) % 7
         loss, grad = nn.loss_and_grad(spec, params, x, y)
         assert np.isfinite(loss)
-        _, bias = spec.layer_slices()[-1]
+        bias = spec.layers[-1].bias
         assert_allclose(grad[bias].sum(), 0.0, rtol=0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):

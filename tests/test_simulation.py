@@ -216,7 +216,7 @@ def reference_forward(spec, params, x):
     """Forward pass with a fresh array for every intermediate; returns the
     logits and the input of every layer."""
     acts = [x]
-    for l, ((w_sl, b_sl), shape) in enumerate(zip(spec.layer_slices(), spec.layer_shapes())):
+    for l, (w_sl, b_sl, shape) in enumerate(spec.layers):
         z = acts[l] @ params[w_sl].reshape(shape) + params[b_sl]
         if l == spec.num_layers - 1:
             return z, acts
@@ -238,13 +238,13 @@ def reference_loss_and_grad(spec, params, x, y):
     delta /= n
     grad = np.empty_like(params)
     for l in range(spec.num_layers - 1, -1, -1):
-        w_sl, b_sl = spec.layer_slices()[l]
+        w_sl, b_sl, shape = spec.layers[l]
         grad[w_sl] = (acts[l].T @ delta).ravel()
         grad[b_sl] = delta.sum(axis=0)
         if l > 0:
             a = acts[l]
             deriv = (a > 0.0).astype(np.float64) if spec.activation == "relu" else 1.0 - a * a
-            delta = (delta @ params[w_sl].reshape(spec.layer_shapes()[l]).T) * deriv
+            delta = (delta @ params[w_sl].reshape(shape).T) * deriv
     return loss, grad
 
 
@@ -400,6 +400,13 @@ class TestFederationChecks:
     ):
         with pytest.raises(ValueError, match="participation"):
             build_federation(participation=participation)
+
+    def test_a_federation_without_clients_is_rejected(self, build_federation):
+        """``run`` would otherwise fail in its first cohort draw, with a bare
+        StopIteration."""
+        fed = build_federation()
+        with pytest.raises(ValueError, match="a federation needs at least one client"):
+            simulation.Federation(fed.config, fed.train, fed.test, [], fed.server)
 
 
 class TestRoundThreads:
