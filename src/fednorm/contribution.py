@@ -29,14 +29,15 @@ MIN_LATENT_NORM = 1e-12
 
 
 class DegenerateLatent(ValueError):
-    """A mean latent has (near-)zero norm, so cosine similarity is undefined."""
+    """A mean latent has a (near-)zero or non-finite norm, so cosine
+    similarity is undefined."""
 
     def __init__(self, client_id=None, norm=None):
         self.client_id = client_id
         who = "vector" if client_id is None else f"client {client_id}"
         super().__init__(
-            f"mean latent of {who} has norm {norm}, below {MIN_LATENT_NORM}; "
-            "cosine similarity is undefined"
+            f"mean latent of {who} has norm {norm}; cosine similarity needs "
+            f"a finite norm of at least {MIN_LATENT_NORM}"
         )
 
 
@@ -63,7 +64,7 @@ def similarity_matrix(latents, client_ids) -> np.ndarray:
     ``latents[i]`` is the mean latent of client ``client_ids[i]``.  Symmetric
     with an exactly unit diagonal; needs at least two latents of a common
     dimension.  Raises DegenerateLatent naming the offending client when some
-    mean latent has (near-)zero norm.
+    mean latent has a (near-)zero or non-finite norm.
     """
     if len(latents) != len(client_ids):
         raise ValueError(f"{len(latents)} latents for {len(client_ids)} client ids")
@@ -73,9 +74,11 @@ def similarity_matrix(latents, client_ids) -> np.ndarray:
     if len(dims) != 1:
         raise ValueError(f"latent dimensions differ across clients: {sorted(dims)}")
     z = np.stack([np.asarray(latent, dtype=np.float64).ravel() for latent in latents])
-    norms = np.linalg.norm(z, axis=1)
+    # a finite latent's norm may overflow; the check below then names it
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(z, axis=1)
     for client_id, norm in zip(client_ids, norms):
-        if norm < MIN_LATENT_NORM:
+        if not MIN_LATENT_NORM <= norm < np.inf:
             raise DegenerateLatent(client_id=client_id, norm=float(norm))
     unit = z / norms[:, None]
     s = unit @ unit.T
@@ -97,6 +100,8 @@ def contribution_factors(similarity: np.ndarray, temperature: float) -> np.ndarr
     s = np.asarray(similarity, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"similarity matrix must be square, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("similarity matrix has non-finite entries")
     r = s.shape[0]
     # sum the off-diagonal entries compressed, then add the diagonal: the sum
     # order is then the same for every row, so identical latents give bitwise
@@ -127,6 +132,8 @@ def normalize_weights(factors: np.ndarray, importance: np.ndarray) -> np.ndarray
     nu = np.asarray(importance, dtype=np.float64)
     if lam.shape != nu.shape or lam.ndim != 1:
         raise ValueError(f"shape mismatch: factors {lam.shape}, importance {nu.shape}")
+    if not (np.isfinite(lam).all() and np.isfinite(nu).all()):
+        raise ValueError("contribution factors and importance weights must be finite")
     if (nu < 0).any():
         raise ValueError("importance weights must be non-negative")
     if abs(nu.sum() - 1.0) > 1e-9:

@@ -235,7 +235,8 @@ def loss_and_grad(spec, params, x, y, *, out=None):
 class OptimizerState:
     """One local optimizer's mutable buffers for a ``size``-parameter model.
 
-    The constructor allocates them all: adam's moments ``m``/``v`` (None for
+    The constructor allocates them all: the gradient ``grad``, which
+    ``loss_and_grad`` fills as ``out``, adam's moments ``m``/``v`` (None for
     sgd) and the ``scratch`` arrays of the update, which hold one block of at
     most ``BLOCK`` elements.  Steps update them in place; ``reset()`` clears
     them in place, so that one state serves client after client.
@@ -244,6 +245,7 @@ class OptimizerState:
     def __init__(self, settings: OptimizerSettings, size: int):
         self.settings = settings
         self.step = 0
+        self.grad = np.empty(size)
         adam = settings.kind == "adam"
         self.m = np.zeros(size) if adam else None
         self.v = np.zeros(size) if adam else None

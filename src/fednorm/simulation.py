@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contribution, data, nn, strategies
-from .config import OptimizerSettings, RunConfig
+from .config import RunConfig
 
 
 @dataclass
@@ -67,31 +67,6 @@ def evaluate(spec: nn.ModelSpec, params: np.ndarray, dataset: data.Dataset):
     return accuracy, nn.cross_entropy(logits, dataset.labels)
 
 
-@dataclass
-class Workspace:
-    """One training thread's buffers, reused client after client and round
-    after round: the gradient, the local optimizer's state and one minibatch
-    of features and labels.  The thread that runs the federation makes them,
-    so that no training thread allocates an array of parameter size."""
-
-    grad: np.ndarray
-    optimizer: nn.OptimizerState
-    features: np.ndarray
-    labels: np.ndarray
-
-    @classmethod
-    def create(cls, spec: nn.ModelSpec, optimizer: OptimizerSettings, rows: int) -> Workspace:
-        """Buffers for training ``spec`` with the local ``optimizer`` on
-        minibatches of at most ``rows`` rows."""
-        size = spec.param_count()
-        return cls(
-            np.empty(size),
-            nn.OptimizerState(optimizer, size),
-            np.empty((rows, spec.input_dim)),
-            np.empty(rows, dtype=np.int64),
-        )
-
-
 def local_train(
     spec: nn.ModelSpec,
     dataset: data.Dataset,
@@ -101,18 +76,18 @@ def local_train(
     epochs: int,
     batch_size: int,
     round_index: int,
-    workspace: Workspace,
+    state: nn.OptimizerState,
     adjust: strategies.Adjust | None = None,
     out: np.ndarray | None = None,
 ) -> strategies.ClientUpdate:
     """Run one client's local epochs and package its update.
 
     Epochs iterate the full shard in shuffled minibatches; the shuffle depends
-    only on (client seed, round).  Each minibatch is gathered into
-    ``workspace``, whose gradient and optimizer state serve every step, and
-    the weights are trained in ``out``, a new vector if None: beyond ``out``
-    a call allocates nothing of parameter or shard size.  Each step hands
-    ``adjust``, the rule's hook, to ``nn.optimizer_step``.
+    only on (client seed, round).  The local optimizer's ``state``, gradient
+    included, serves every step, and the weights are trained in ``out``, a
+    new vector if None: beyond ``out`` a call allocates nothing of parameter
+    or shard size.  Each step hands ``adjust``, the rule's hook, to
+    ``nn.optimizer_step``.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -122,34 +97,26 @@ def local_train(
     n = len(indices)
     if n == 0:
         raise ValueError(f"client {client.client_id} has an empty shard")
+    # plain indexing would wrap a negative row instead of raising
     if indices.min() < 0 or indices.max() >= len(dataset.labels):
         raise ValueError(
             f"client {client.client_id} has rows outside the {len(dataset.labels)}-row dataset"
         )
-    if workspace.features.shape[0] < min(batch_size, n):
-        raise ValueError(
-            f"workspace holds {workspace.features.shape[0]} rows, "
-            f"a minibatch needs {min(batch_size, n)}"
-        )
 
     params = np.empty_like(global_params) if out is None else out
     np.copyto(params, global_params)
-    grad, opt = workspace.grad, workspace.optimizer
-    opt.reset()
+    state.reset()
     rng = np.random.default_rng([client.seed, round_index])
     steps = 0
     for _ in range(epochs):
         order = indices[rng.permutation(n)]
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
-            # the range is checked above, so "clip" moves no index; unlike
-            # "raise" it writes straight into the workspace, not via a copy
-            m = len(rows)
-            x = np.take(dataset.features, rows, axis=0, out=workspace.features[:m], mode="clip")
-            y = np.take(dataset.labels, rows, out=workspace.labels[:m], mode="clip")
             try:
-                nn.loss_and_grad(spec, params, x, y, out=grad)
-                nn.optimizer_step(params, grad, opt, adjust)
+                nn.loss_and_grad(
+                    spec, params, dataset.features[rows], dataset.labels[rows], out=state.grad
+                )
+                nn.optimizer_step(params, state.grad, state, adjust)
             except nn.TrainingDiverged as exc:
                 raise nn.TrainingDiverged(
                     f"client {client.client_id} diverged at local step {steps} "
@@ -225,7 +192,7 @@ class Federation:
     """The full simulation, as ``build`` makes it: the run's ``RunConfig``, whose
     settings it reads, datasets, clients and server state.  The model, the rule,
     which alone holds the strategy's state, and the sampling seed are derived from
-    the config once; the training threads' workspaces are made on first need and kept."""
+    the config once; each training thread's optimizer state is made on first need and kept."""
 
     config: RunConfig
     train: data.Dataset
@@ -235,7 +202,7 @@ class Federation:
     spec: nn.ModelSpec = field(init=False)
     rule: strategies.FedAvg = field(init=False, repr=False)
     sample_seed: int = field(init=False, repr=False)
-    workspaces: list[Workspace] = field(init=False, repr=False, default_factory=list)
+    states: list[nn.OptimizerState] = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         if not self.clients:
@@ -255,29 +222,28 @@ class Federation:
         chosen = np.sort(rng.choice(total, size=k, replace=False))
         return [self.clients[i] for i in chosen]
 
-    def _workspaces(self, count: int) -> list[Workspace]:
-        rows = min(self.config.batch_size, max(len(c.indices) for c in self.clients))
-        while len(self.workspaces) < count:
-            self.workspaces.append(Workspace.create(self.spec, self.config.optimizer, rows))
-        return self.workspaces[:count]
+    def _states(self, count: int) -> list[nn.OptimizerState]:
+        while len(self.states) < count:
+            self.states.append(nn.OptimizerState(self.config.optimizer, self.spec.param_count()))
+        return self.states[:count]
 
     def _train_clients(
         self, participants: list[ClientState], threads: int, run, latents: bool
     ) -> tuple[list[strategies.ClientUpdate], list[np.ndarray] | None]:
         """Train the participants through ``run``, a ``map`` over the round's
-        ``threads`` threads; a client takes whichever workspace is free.  This
-        thread makes every update's weight vector beforehand and waits while
-        the threads train.  With ``latents``, each thread then takes its
-        client's mean latent over the whole shard under the trained weights.
-        The first failure in participant order is raised, as in a serial
-        round, and the clients not yet started are then dropped."""
+        ``threads`` threads; a client takes whichever optimizer state is free.
+        This thread makes the states and the updates' weight vectors first
+        and waits while the threads train.  With ``latents``, each thread then
+        takes its client's mean latent over the whole shard under the trained
+        weights.  The first failure in participant order is raised, as in a
+        serial round, and the clients not yet started are then dropped."""
         server = self.server
         idle = queue.SimpleQueue()
-        for workspace in self._workspaces(threads):
-            idle.put(workspace)
+        for state in self._states(threads):
+            idle.put(state)
 
         def train(client: ClientState, out: np.ndarray):
-            workspace = idle.get()
+            state = idle.get()
             try:
                 update = local_train(
                     self.spec,
@@ -287,12 +253,12 @@ class Federation:
                     epochs=self.config.epochs,
                     batch_size=self.config.batch_size,
                     round_index=server.round_index,
-                    workspace=workspace,
+                    state=state,
                     adjust=self.rule.hooks(server.params, client.client_id),
                     out=out,
                 )
             finally:
-                idle.put(workspace)
+                idle.put(state)
             if not latents:
                 return update, None
             shard = self.train.features[client.indices]

@@ -246,7 +246,7 @@ class TestStrategyReductions:
             optimizer = cfg.OptimizerSettings()
             kwargs = dict(
                 epochs=2, batch_size=16, round_index=0,
-                workspace=simulation.Workspace.create(spec, optimizer, 16),
+                state=nn.OptimizerState(optimizer, spec.param_count()),
             )
             plain = simulation.local_train(
                 spec, ds, client, params, **kwargs
@@ -277,7 +277,7 @@ class TestStrategyReductions:
             optimizer = cfg.OptimizerSettings(kind="sgd", lr=SCAFFOLD_LR)
             kwargs = dict(
                 epochs=1, batch_size=len(ds), round_index=0,
-                workspace=simulation.Workspace.create(spec, optimizer, len(ds)),
+                state=nn.OptimizerState(optimizer, spec.param_count()),
             )
             plain = simulation.local_train(
                 spec, ds, client, params, **kwargs

@@ -93,6 +93,14 @@ class TestSimilarityMatrix:
             co.similarity_matrix([np.array([1.0, 0.0]), np.zeros(2)], [4, 9])
         assert info.value.client_id == 9
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_non_finite_norm_names_client(self, bad):
+        """A NaN or inf entry, or finite entries whose norm overflows, raise
+        before the division, without a warning."""
+        with pytest.raises(co.DegenerateLatent, match="client 9 has norm (nan|inf); ") as info:
+            co.similarity_matrix([np.array([1.0, 0.0]), np.array([bad, bad])], [4, 9])
+        assert info.value.client_id == 9
+
     def test_needs_two_clients(self):
         with pytest.raises(ValueError, match=">= 2"):
             co.similarity_matrix([np.ones(3)], [0])
@@ -171,6 +179,13 @@ class TestContributionFactors:
         with pytest.raises(ValueError, match="square"):
             co.contribution_factors(np.ones((2, 3)), temperature=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        s = np.ones((3, 3))
+        s[0, 2] = s[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            co.contribution_factors(s, 0.5)
+
     def test_overflowing_temperature_is_rejected_without_warnings(self):
         """Row sums over a subnormal temperature overflow float64: that names
         the temperature; a finite quotient whose spread overflows still gives
@@ -229,3 +244,16 @@ class TestNormalizeWeights:
     def test_rejects_vanishing_product(self):
         with pytest.raises(ValueError, match="vanished"):
             co.normalize_weights(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "factors, importance",
+        [
+            ([np.nan, np.nan], [0.5, 0.5]),
+            ([0.5, 0.5], [np.nan, np.nan]),
+            ([np.inf, 0.5], [0.5, 0.5]),
+            ([0.5, 0.5], [np.inf, -np.inf]),
+        ],
+    )
+    def test_rejects_non_finite_inputs(self, factors, importance):
+        with pytest.raises(ValueError, match="must be finite"):
+            co.normalize_weights(np.array(factors), np.array(importance))

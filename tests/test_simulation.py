@@ -77,23 +77,17 @@ class TestLocalTrain:
         ds = data.generate_synthetic(2, 3, 10, 3.0, seed=0)
         client = simulation.ClientState(0, np.arange(len(ds)), seed=1)
         spec = nn.ModelSpec((3, 4, 2))
-        workspace = simulation.Workspace.create(spec, cfg.OptimizerSettings(), 8)
+        state = nn.OptimizerState(cfg.OptimizerSettings(), spec.param_count())
         with pytest.raises(ValueError, match="epochs"):
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
-                epochs=0, batch_size=8, workspace=workspace,
+                epochs=0, batch_size=8, state=state,
                 round_index=0,
             )
         with pytest.raises(ValueError, match="batch_size"):
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
-                epochs=1, batch_size=0, workspace=workspace,
-                round_index=0,
-            )
-        with pytest.raises(ValueError, match="workspace holds 8 rows, a minibatch needs 16"):
-            simulation.local_train(
-                spec, ds, client, nn.init_model(spec, 2),
-                epochs=1, batch_size=16, workspace=workspace,
+                epochs=1, batch_size=0, state=state,
                 round_index=0,
             )
 
@@ -106,7 +100,19 @@ class TestLocalTrain:
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
                 epochs=1, batch_size=8, round_index=0,
-                workspace=simulation.Workspace.create(spec, cfg.OptimizerSettings(), 8),
+                state=nn.OptimizerState(cfg.OptimizerSettings(), spec.param_count()),
+            )
+
+    def test_state_for_another_model_is_rejected(self):
+        ds = data.generate_synthetic(2, 3, 10, 3.0, seed=0)
+        client = simulation.ClientState(0, np.arange(len(ds)), seed=1)
+        spec = nn.ModelSpec((3, 4, 2))
+        other = nn.ModelSpec((3, 5, 2))
+        with pytest.raises(ValueError, match="gradient buffer"):
+            simulation.local_train(
+                spec, ds, client, nn.init_model(spec, 2),
+                epochs=1, batch_size=8, round_index=0,
+                state=nn.OptimizerState(cfg.OptimizerSettings(), other.param_count()),
             )
 
     def test_step_count_covers_partial_batches(self):
@@ -116,7 +122,7 @@ class TestLocalTrain:
         update = simulation.local_train(
             spec, ds, client, nn.init_model(spec, 2),
             epochs=2, batch_size=64, round_index=0,
-            workspace=simulation.Workspace.create(spec, cfg.OptimizerSettings(), 64),
+            state=nn.OptimizerState(cfg.OptimizerSettings(), spec.param_count()),
         )
         assert update.tau == 4  # ceil(100/64) batches per epoch, twice
         assert update.n == 100
@@ -146,7 +152,7 @@ class TestLocalTrain:
             update = simulation.local_train(
                 spec, ds, client, params,
                 epochs=1, batch_size=8, round_index=round_index,
-                workspace=simulation.Workspace.create(spec, cfg.OptimizerSettings(), 8),
+                state=nn.OptimizerState(cfg.OptimizerSettings(), spec.param_count()),
             )
             runs.setdefault(round_index, []).append(update.weights)
         assert_array_equal(runs[0][0], runs[0][1])
@@ -171,14 +177,14 @@ class TestLocalTrain:
             simulation.local_train(
                 spec, ds, client, nn.init_model(spec, 2),
                 epochs=4, batch_size=40, round_index=5, adjust=adjust,
-                workspace=simulation.Workspace.create(
-                    spec, cfg.OptimizerSettings(kind="sgd", lr=1.0), 40
+                state=nn.OptimizerState(
+                    cfg.OptimizerSettings(kind="sgd", lr=1.0), spec.param_count()
                 ),
             )
 
     def test_workspace_training_allocates_less_than_a_parameter_vector(self):
-        """numpy reports its buffers to tracemalloc.  Given a workspace and an
-        output vector made beforehand, five clients' training, with each
+        """numpy reports its buffers to tracemalloc.  Given an optimizer state
+        and an output vector made beforehand, five clients' training, with each
         client's hook made as on a training thread, allocates at its peak
         less than one ``nn.BLOCK`` of float64 on a model of several blocks:
         no copy of the weights, gradient, moments or an epoch of features,
@@ -191,7 +197,7 @@ class TestLocalTrain:
         ]
         for kind, optimizer in (("fedprox", "adam"), ("scaffold", "sgd"), ("fedbabu", "adam")):
             optimizer = cfg.OptimizerSettings(kind=optimizer, lr=1e-2)
-            workspace = simulation.Workspace.create(spec, optimizer, 16)
+            state = nn.OptimizerState(optimizer, spec.param_count())
             rule = strategies.RULES[kind](
                 cfg.StrategyConfig(kind=kind), spec, params, 5, optimizer
             )
@@ -202,7 +208,7 @@ class TestLocalTrain:
                 for client, out in zip(clients, outs):
                     simulation.local_train(
                         spec, ds, client, params, epochs=2, batch_size=16, round_index=0,
-                        workspace=workspace, adjust=rule.hooks(params, client.client_id),
+                        state=state, adjust=rule.hooks(params, client.client_id),
                         out=out,
                     )
                 _, peak = tracemalloc.get_traced_memory()
@@ -371,19 +377,16 @@ class TestLocalTrainReference:
         ds, spec, params, client = self.setup()
         other = simulation.ClientState(4, np.arange(0, 60), seed=34)
         kwargs = dict(epochs=2, batch_size=16, round_index=1)
-        workspace = simulation.Workspace.create(
-            spec, cfg.OptimizerSettings(kind="adam", lr=1e-2), 16
-        )
+        adam = cfg.OptimizerSettings(kind="adam", lr=1e-2)
+        state = nn.OptimizerState(adam, spec.param_count())
         in_turn = [
-            simulation.local_train(spec, ds, c, params, workspace=workspace, **kwargs)
+            simulation.local_train(spec, ds, c, params, state=state, **kwargs)
             for c in (client, other)
         ]
         for c, got in zip((client, other), in_turn):
             alone = simulation.local_train(
                 spec, ds, c, params,
-                workspace=simulation.Workspace.create(
-                    spec, cfg.OptimizerSettings(kind="adam", lr=1e-2), 16
-                ),
+                state=nn.OptimizerState(adam, spec.param_count()),
                 **kwargs,
             )
             assert_array_equal(got.weights, alone.weights)
@@ -445,6 +448,26 @@ class TestRoundThreads:
 
 
 class TestRunRound:
+    def test_optimizer_states_are_made_once_on_the_federations_thread(
+        self, build_federation, monkeypatch
+    ):
+        makers = []
+
+        class Recorded(nn.OptimizerState):
+            def __init__(self, *args):
+                makers.append(threading.current_thread())
+                super().__init__(*args)
+
+        monkeypatch.setattr(nn, "OptimizerState", Recorded)
+        force_threads(monkeypatch, 2)
+        fed = build_federation()
+        fed.run_round()
+        grads = [state.grad for state in fed.states]
+        fed.run_round()
+        assert len(fed.states) == 2
+        assert all(state.grad is grad for state, grad in zip(fed.states, grads, strict=True))
+        assert makers == [threading.current_thread()] * 2
+
     def test_report_shape_and_weight_identities(self, build_federation):
         fed = build_federation(normalize=True)
         report = fed.run_round()
@@ -472,9 +495,7 @@ class TestRunRound:
             simulation.local_train(
                 fed.spec, fed.train, client, broadcast,
                 epochs=fed.config.epochs, batch_size=fed.config.batch_size, round_index=1,
-                workspace=simulation.Workspace.create(
-                    fed.spec, fed.config.optimizer, fed.config.batch_size
-                ),
+                state=nn.OptimizerState(fed.config.optimizer, fed.spec.param_count()),
             )
             for client in fed.clients
         ]
@@ -524,7 +545,7 @@ class TestRunRound:
             normalize=normalize, num_clients=20, hidden_sizes=(256, 256),
         )
         vector = 8 * fed.spec.param_count()  # 68,355 parameters
-        fed.run_round()  # makes the workspaces and the rule's first state
+        fed.run_round()  # makes the optimizer states and the rule's first state
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
@@ -579,9 +600,7 @@ class TestRunRound:
             simulation.local_train(
                 fed.spec, fed.train, client, broadcast,
                 epochs=fed.config.epochs, batch_size=fed.config.batch_size, round_index=0,
-                workspace=simulation.Workspace.create(
-                    fed.spec, fed.config.optimizer, fed.config.batch_size
-                ),
+                state=nn.OptimizerState(fed.config.optimizer, fed.spec.param_count()),
             )
             for client in fed.clients
         ]
@@ -689,11 +708,11 @@ class TestDeterminism:
         }
         serial = build_federation(**common)
         rs = run_bounded(serial, 3)
-        assert len(serial.workspaces) == 1
+        assert len(serial.states) == 1
         force_threads(monkeypatch, threads)
         pooled = build_federation(**common)
         rp = run_bounded(pooled, 3)
-        assert len(pooled.workspaces) == threads
+        assert len(pooled.states) == threads
         assert_array_equal(serial.server.params, pooled.server.params)
         assert strip_durations(rs) == strip_durations(rp)
 

@@ -236,9 +236,9 @@ class TestLocalHooks:
 class TestTrainingReductions:
     def test_fedprox_zero_mu_matches_fedavg_bitwise(self):
         ds, spec, params, client = training_setup()
-        # one workspace serves both runs: each starts from cleared buffers
-        workspace = simulation.Workspace.create(spec, config.OptimizerSettings(), 8)
-        kwargs = dict(epochs=2, batch_size=8, workspace=workspace, round_index=0)
+        # one optimizer state serves both runs: each starts from cleared buffers
+        state = nn.OptimizerState(config.OptimizerSettings(), spec.param_count())
+        kwargs = dict(epochs=2, batch_size=8, state=state, round_index=0)
         plain = simulation.local_train(
             spec, ds, client, params, **kwargs
         )
@@ -255,7 +255,7 @@ class TestTrainingReductions:
         optimizer = config.OptimizerSettings(kind="sgd", lr=0.1)
         kwargs = dict(
             epochs=1, batch_size=len(ds),
-            workspace=simulation.Workspace.create(spec, optimizer, len(ds)), round_index=0,
+            state=nn.OptimizerState(optimizer, spec.param_count()), round_index=0,
         )
         plain = simulation.local_train(
             spec, ds, client, params, **kwargs
@@ -282,7 +282,7 @@ class TestTrainingReductions:
         update = simulation.local_train(
             spec, ds, client, params,
             epochs=3, batch_size=8,
-            workspace=simulation.Workspace.create(spec, config.OptimizerSettings(), 8),
+            state=nn.OptimizerState(config.OptimizerSettings(), spec.param_count()),
             adjust=rule.hooks(params, client.client_id),
             round_index=0,
         )
